@@ -16,6 +16,20 @@ pinned in :mod:`sphereflow.operators` (u_phi = -psi', -lap(psi) = omega):
 
 continuous with limit 0 at both poles and extremal at the equator, where
 u_phi = -k1*log(2).
+
+The streamfunction psi = -int_0^theta u_phi, gauged to 0 at the north pole,
+has a closed form through the dilogarithm Li2.  With chi = log(tan(theta/2)),
+a = |chi|, q = exp(-2a) and
+
+    h(a) = a*log(1 + q) - Li2(-q),
+
+psi = k1*h on the north hemisphere (chi <= 0) and psi = k1*(pi^2/6 - h) on
+the south, so psi(pi/2) = k1*pi^2/12 and psi spans k1*pi^2/6 from pole to
+pole.  This is the chi-form of the integral rearranged with the inversion
+Li2(-x) + Li2(-1/x) = -pi^2/6 - log^2(x)/2, which removes a -chi^2
+cancellation at the poles.  Li2(-q) = spence(1 + q) loses q's low digits
+to the rounding of 1 + q, so below q = 1/8 the power series
+sum_k (-q)^k/k^2 takes over.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import spence
 
 from .grid import Grid, ScalarField
 from .operators import VelocityField
@@ -32,6 +47,11 @@ from .operators import VelocityField
 # below this distance from a pole the closed form for I(theta) loses digits
 # to cancellation; switch to its series
 _SERIES_THRESHOLD = 1e-4
+
+# below this q the dilogarithm Li2(-q) comes from its power series; at
+# q = 1/8 the 20-term truncation error is below 1e-20 relative
+_DILOG_SERIES_Q = 0.125
+_DILOG_SERIES_TERMS = 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,6 +68,8 @@ class VortexPairParams:
 
 
 def _check_interior(theta: np.ndarray) -> None:
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("colatitude must be finite; got NaN or infinity")
     if np.any(theta <= 0.0) or np.any(theta >= np.pi):
         raise ValueError("profile is singular at the poles; need 0 < theta < pi")
 
@@ -97,32 +119,33 @@ def azimuthal_velocity(theta, p: VortexPairParams):
     return float(u[0]) if scalar else u
 
 
+def _neg_dilog(q: np.ndarray) -> np.ndarray:
+    """Li2(-q) for 0 <= q <= 1."""
+    series = np.zeros_like(q)
+    for k in range(_DILOG_SERIES_TERMS, 0, -1):
+        series = 1.0 / k**2 - q * series
+    return np.where(q < _DILOG_SERIES_Q, -q * series, spence(1.0 + q))
+
+
 def streamfunction_profile(theta, p: VortexPairParams):
     """psi(theta) = -int_0^theta u_phi(s) ds, gauged so psi -> 0 at the north pole.
 
-    Evaluated by adaptive quadrature of the closed-form u_phi, accumulated
-    over the intervals between the requested colatitudes.
+    Closed form: psi = k1*h(a) for theta <= pi/2 and k1*(pi^2/6 - h(a))
+    beyond, with a = |log(tan(theta/2))|, q = exp(-2a) and
+    h(a) = a*log(1 + q) - Li2(-q).  Li2(-q) is spence(1 + q), replaced by
+    its power series below q = 1/8 where 1 + q would round q away.  psi is
+    monotone with pole-to-pole span k1*pi^2/6 and equator value k1*pi^2/12.
     """
     t = np.asarray(theta, dtype=np.float64)
     _check_interior(t)
-    scalar = t.ndim == 0
-    flat = np.atleast_1d(t).ravel()
-    order = np.argsort(flat)
-    integrand = lambda s: azimuthal_velocity(s, p)
-    psi_sorted = np.empty(flat.size)
-    lower = 0.0
-    acc = 0.0
-    for k, idx in enumerate(order):
-        upper = flat[idx]
-        if upper > lower:
-            piece, _ = quad(integrand, lower, upper, limit=200, epsabs=1e-12, epsrel=1e-12)
-            acc += piece
-            lower = upper
-        psi_sorted[k] = -acc
-    psi = np.empty(flat.size)
-    psi[order] = psi_sorted
-    psi = psi.reshape(np.atleast_1d(t).shape)
-    return float(psi[0]) if scalar else psi
+    tan_half = np.tan(0.5 * t)
+    north = tan_half <= 1.0
+    # r = exp(-a), so q = r^2 keeps full relative precision near the poles
+    r = np.where(north, tan_half, 1.0 / tan_half)
+    q = r * r
+    h = -np.log(r) * np.log1p(q) - _neg_dilog(q)
+    psi = p.k1 * np.where(north, h, math.pi**2 / 6.0 - h)
+    return float(psi) if t.ndim == 0 else psi
 
 
 def hemisphere_vorticity_integral(

@@ -2,9 +2,7 @@
 
 Each check evaluates one identity on a pole-excluding colatitude band
 (default theta in [pi/8, 7*pi/8], the vortex cores are singular) and returns
-an immutable :class:`CheckReport`.  Checks are independent and pure;
-:func:`run_all_checks` may evaluate them on a small thread pool whose size is
-capped by the ``SPHEREFLOW_THREADS`` environment variable.
+an immutable :class:`CheckReport`.  Checks are independent and pure.
 
 Numerical differentiation of profile functions uses centered fourth-order
 stencils with step 1e-4.  At that step the cancellation floor of a
@@ -15,9 +13,7 @@ abscissae; callables built from numpy ufuncs preserve that dtype.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import os
 
 import numpy as np
 
@@ -314,19 +310,6 @@ def vortex_pair_fields(p: exact.VortexPairParams, grid: Grid):
     return exact.streamfunction_field(p, grid), exact.vorticity_field(p, grid)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("SPHEREFLOW_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError(f"SPHEREFLOW_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise ValueError("SPHEREFLOW_THREADS must be at least 1")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
 def run_all_checks(
     nlat: int = 256,
     nlon: int = 128,
@@ -367,26 +350,14 @@ def run_all_checks(
         raise ValueError(f"unknown phi model {phi_model!r}")
     chi_lo = max(mercator_of_colatitude(band[0]), -10.0)
     chi_hi = min(mercator_of_colatitude(band[1]), 10.0)
-    jobs = [
-        ("vanishing-jacobian", lambda: check_vanishing_jacobian(psi, omega, band=band)),
-        ("harmonic-vorticity", lambda: check_harmonic_vorticity(omega, band=band)),
-        (
-            "gradient-modulus-ode",
-            lambda: check_gradient_modulus_ode(phi_func, omega_core),
-        ),
-        (
-            "mercator-obstruction",
-            lambda: check_mercator_obstruction(np.linspace(chi_lo, chi_hi, 101)),
-        ),
-        (
-            "functional-relation-identities",
-            lambda: check_functional_relation_identities(p, ntheta=ntheta, band=core),
-        ),
-        ("zonal-consistency", lambda: check_zonal_consistency(p)),
+    reports = [
+        check_vanishing_jacobian(psi, omega, band=band),
+        check_harmonic_vorticity(omega, band=band),
+        check_gradient_modulus_ode(phi_func, omega_core),
+        check_mercator_obstruction(np.linspace(chi_lo, chi_hi, 101)),
+        check_functional_relation_identities(p, ntheta=ntheta, band=core),
+        check_zonal_consistency(p),
     ]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        futures = [pool.submit(job) for _, job in jobs]
-        reports = [f.result() for f in futures]
     nullspace_ok = all(global_harmonic_nullspace(L) == 1 for L in (1, 20, lmax))
     reports.append(
         CheckReport(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,7 @@ from sphereflow.exact import (
     streamfunction_profile,
     vorticity_profile,
 )
-from sphereflow.grid import GridSpec, build_grid
+from sphereflow.grid import DEFAULT_BAND, GridSpec, build_grid
 from sphereflow.operators import laplace_beltrami_fd, vorticity_from_velocity
 
 from conftest import band_max
@@ -52,6 +53,17 @@ def test_profile_pole_singularity(theta):
         vorticity_profile(theta, P1)
     with pytest.raises(ValueError):
         azimuthal_velocity(theta, P1)
+
+
+@pytest.mark.parametrize(
+    "profile", [vorticity_profile, azimuthal_velocity, streamfunction_profile]
+)
+@pytest.mark.parametrize(
+    "theta", [math.nan, math.inf, np.array([0.5, math.nan]), np.array([[1.0], [-math.inf]])]
+)
+def test_profiles_reject_non_finite_colatitude(profile, theta):
+    with pytest.raises(ValueError, match="finite"):
+        profile(theta, P1)
 
 
 def test_velocity_at_equator():
@@ -125,6 +137,59 @@ def test_streamfunction_scalar_and_array_agree():
     arr = streamfunction_profile(thetas, P1)
     for t, v in zip(thetas, arr):
         assert streamfunction_profile(float(t), P1) == pytest.approx(v, abs=1e-13)
+
+
+def _mp_streamfunction(theta, k1):
+    """psi = -k1 int_0^theta I(s)/sin(s) ds at 40 digits, split at the equator."""
+    with mpmath.workdps(40):
+        th = mpmath.mpf(float(theta))
+        velocity = lambda s: (
+            mpmath.log(mpmath.sin(s)) - mpmath.cos(s) * mpmath.log(mpmath.tan(s / 2)) - mpmath.log(2)
+        ) / mpmath.sin(s)
+        nodes = [0, th] if th <= mpmath.pi / 2 else [0, mpmath.pi / 2, th]
+        return -k1 * mpmath.quad(velocity, nodes)
+
+
+def test_streamfunction_matches_high_precision_quadrature():
+    eps = np.array([1e-10, 1e-7, 1e-4, 1e-2])
+    thetas = np.concatenate([eps, [0.4, 1.0, math.pi / 2, 2.3], math.pi - eps])
+    for k1 in (1.0, -2.5):
+        got = streamfunction_profile(thetas, VortexPairParams(k1=k1))
+        for theta, value in zip(thetas, got):
+            oracle = _mp_streamfunction(theta, k1)
+            assert abs(value - float(oracle)) <= 1e-13 * abs(float(oracle)), theta
+
+
+def test_streamfunction_matches_velocity_quadrature():
+    # psi = -int_0^theta u_phi: adaptive quadrature of the velocity is the oracle
+    thetas = np.random.default_rng(3).uniform(*DEFAULT_BAND, size=12)
+    psi = streamfunction_profile(thetas, P1)
+    for theta, value in zip(thetas, psi):
+        oracle, _ = quad(
+            lambda s: azimuthal_velocity(s, P1), 0.0, theta, limit=200, epsabs=1e-13, epsrel=1e-13
+        )
+        assert value == pytest.approx(-oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("k1", [1.0, -2.0, 0.5, 3.0])
+def test_streamfunction_equator_and_pole_to_pole_span(k1):
+    p = VortexPairParams(k1=k1)
+    span = k1 * math.pi**2 / 6
+    assert streamfunction_profile(math.pi / 2, p) == pytest.approx(span / 2, rel=1e-15)
+    south = streamfunction_profile(math.pi - np.array([1e-4, 1e-7, 1e-10]), p)
+    assert np.all(np.diff(np.abs(south - span)) <= 0.0)
+    assert south[-1] == pytest.approx(span, rel=1e-15)
+
+
+def test_streamfunction_equatorial_reflection_and_sign_flip():
+    thetas = np.concatenate([[1e-9, 1e-5], np.linspace(0.01, math.pi / 2, 157)])
+    for k1 in (1.0, -2.0, 3.0):
+        p = VortexPairParams(k1=k1)
+        north = streamfunction_profile(thetas, p)
+        south = streamfunction_profile(math.pi - thetas, p)
+        assert np.max(np.abs(north + south - k1 * math.pi**2 / 6)) <= 4e-15 * abs(k1)
+        flipped = streamfunction_profile(thetas, VortexPairParams(k1=-k1))
+        assert np.array_equal(flipped, -north)
 
 
 def test_discrete_poisson_relation():

@@ -187,20 +187,6 @@ def test_run_all_checks_exponential_model_fails():
     assert by_name["harmonic-vorticity"].passed
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
-    monkeypatch.setenv("SPHEREFLOW_THREADS", "1")
-    serial = verify.run_all_checks(nlat=128, nlon=32, ntheta=1024)
-    monkeypatch.setenv("SPHEREFLOW_THREADS", "4")
-    pooled = verify.run_all_checks(nlat=128, nlon=32, ntheta=1024)
-    assert [r.max_abs_residual for r in serial] == [r.max_abs_residual for r in pooled]
-
-
-def test_thread_cap_validation(monkeypatch):
-    monkeypatch.setenv("SPHEREFLOW_THREADS", "zero")
-    with pytest.raises(ValueError):
-        verify.run_all_checks(nlat=128, nlon=32, ntheta=1024)
-
-
 def test_report_csv_format(tmp_path):
     reports = [
         verify.CheckReport(
