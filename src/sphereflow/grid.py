@@ -206,14 +206,42 @@ def write_scalar_field(f: ScalarField, path) -> None:
 
 
 def read_scalar_field(path):
-    """Read a theta,phi,value CSV back into (thetas, phis, values) arrays."""
+    """Read a theta,phi,value CSV back into (thetas, phis, values) arrays.
+
+    The rows must be finite and cover the full grid of the distinct thetas
+    and phis once each, theta-major with both increasing, as
+    :func:`write_scalar_field` writes them; otherwise ValueError.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "theta,phi,value":
             raise ValueError(f"unexpected header {header!r} in {path}")
         rows = [line.split(",") for line in fh.read().split()]
+    if not rows:
+        raise ValueError(f"no samples in {path}")
+    for k, row in enumerate(rows):
+        if len(row) != 3:
+            raise ValueError(
+                f"{path} data row {k + 1}: expected 3 columns theta,phi,value, got {len(row)}"
+            )
     data = np.array(rows, dtype=np.float64)
+    nonfinite = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if nonfinite.size:
+        raise ValueError(f"{path} data row {nonfinite[0] + 1}: non-finite entry")
     thetas = np.unique(data[:, 0])
     phis = np.unique(data[:, 1])
+    if data.shape[0] != thetas.size * phis.size:
+        raise ValueError(
+            f"{path} has {data.shape[0]} rows; a full grid of {thetas.size} thetas "
+            f"x {phis.size} phis needs {thetas.size * phis.size}"
+        )
+    misplaced = np.flatnonzero(
+        (data[:, 0] != np.repeat(thetas, phis.size)) | (data[:, 1] != np.tile(phis, thetas.size))
+    )
+    if misplaced.size:
+        raise ValueError(
+            f"{path} data row {misplaced[0] + 1}: rows must be theta-major with increasing "
+            "theta and phi"
+        )
     values = data[:, 2].reshape(thetas.size, phis.size)
     return thetas, phis, values

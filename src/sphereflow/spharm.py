@@ -12,12 +12,12 @@ vorticity-streamfunction relation a coefficient division.
 
 Normalized associated Legendre functions are generated with the standard
 forward-stable three-term recurrences; longitude transforms go through the
-FFT by default, with a direct discrete sum available as a cross-check
-(``longitude_transform="direct"``).
+FFT.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -200,19 +200,7 @@ def _require_plan_grid(f: ScalarField, plan: TransformPlan) -> None:
         raise ValueError("field grid does not match the transform plan")
 
 
-def _longitude_spectrum(values: np.ndarray, dphi: float, transform: str) -> np.ndarray:
-    """F[i, k] = dphi * sum_j f[i, j] exp(-i k phi_j), FFT bin layout."""
-    if transform == "fft":
-        return np.fft.fft(values, axis=1) * dphi
-    if transform == "direct":
-        nlon = values.shape[1]
-        phis = 2.0 * np.pi * np.arange(nlon) / nlon
-        kernel = np.exp(-1j * np.outer(phis, np.arange(nlon)))
-        return values @ kernel * dphi
-    raise ValueError(f"unknown longitude transform {transform!r}")
-
-
-def analyze(f: ScalarField, plan: TransformPlan, longitude_transform: str = "fft") -> SpectralField:
+def analyze(f: ScalarField, plan: TransformPlan) -> SpectralField:
     """Project a field onto the orthonormal basis by quadrature.
 
     a_{l,m} = sum_i w_i dphi sum_j f(theta_i, phi_j) conj(Y_l^m); exact for
@@ -220,7 +208,7 @@ def analyze(f: ScalarField, plan: TransformPlan, longitude_transform: str = "fft
     """
     _require_plan_grid(f, plan)
     g, L = plan.grid, plan.lmax
-    F = _longitude_spectrum(f.values, g.dphi, longitude_transform)
+    F = np.fft.fft(f.values, axis=1) * g.dphi  # F[i, k] = dphi sum_j f exp(-i k phi_j)
     w = g.weights
     a_pos = np.einsum("i,ilm,im->lm", w, plan.plm, F[:, : L + 1])
     arr = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
@@ -247,41 +235,31 @@ def _synthesize_m_profiles(c: SpectralField, plan: TransformPlan, tables: np.nda
     return g_pos, g_neg
 
 
-def _longitude_synthesis(g_pos, g_neg, nlon: int, transform: str) -> np.ndarray:
+def _longitude_synthesis(g_pos, g_neg, nlon: int) -> np.ndarray:
     spectrum = np.zeros((g_pos.shape[0], nlon), dtype=np.complex128)
     L = g_pos.shape[1] - 1
     spectrum[:, : L + 1] = g_pos
     if g_neg.shape[1]:
         spectrum[:, -1 : -(L + 1) : -1] = g_neg
-    if transform == "fft":
-        return np.fft.ifft(spectrum, axis=1) * nlon
-    if transform == "direct":
-        phis = 2.0 * np.pi * np.arange(nlon) / nlon
-        kernel = np.exp(1j * np.outer(np.arange(nlon), phis))
-        return spectrum @ kernel
-    raise ValueError(f"unknown longitude transform {transform!r}")
+    return np.fft.ifft(spectrum, axis=1) * nlon
 
 
-def synthesize_complex(
-    c: SpectralField, plan: TransformPlan, longitude_transform: str = "fft"
-) -> np.ndarray:
+def synthesize_complex(c: SpectralField, plan: TransformPlan) -> np.ndarray:
     """Pointwise sum a_{l,m} Y_l^m on the plan's grid, kept complex."""
     if c.lmax > plan.lmax:
         raise ValueError(f"plan resolves lmax={plan.lmax} < field lmax={c.lmax}")
     g_pos, g_neg = _synthesize_m_profiles(c, plan, plan.plm)
-    return _longitude_synthesis(g_pos, g_neg, plan.grid.nlon, longitude_transform)
+    return _longitude_synthesis(g_pos, g_neg, plan.grid.nlon)
 
 
-def synthesize(
-    c: SpectralField, plan: TransformPlan, longitude_transform: str = "fft"
-) -> ScalarField:
+def synthesize(c: SpectralField, plan: TransformPlan) -> ScalarField:
     """Evaluate sum a_{l,m} Y_l^m on the plan's grid as a real field.
 
     The imaginary residue must stay below 1e-10 * max(1, |field|); a larger
     residue indicates broken conjugate symmetry and raises
     :class:`SymmetryError`.
     """
-    values = synthesize_complex(c, plan, longitude_transform)
+    values = synthesize_complex(c, plan)
     residue = float(np.max(np.abs(values.imag), initial=0.0))
     scale = max(1.0, float(np.max(np.abs(values.real), initial=0.0)))
     if residue > 1e-10 * scale:
@@ -297,23 +275,28 @@ def synthesize_gradient(c: SpectralField, plan: TransformPlan):
     if c.lmax > plan.lmax:
         raise ValueError(f"plan resolves lmax={plan.lmax} < field lmax={c.lmax}")
     g_pos, g_neg = _synthesize_m_profiles(c, plan, plan.dplm)
-    d_theta = _longitude_synthesis(g_pos, g_neg, plan.grid.nlon, "fft").real
+    d_theta = _longitude_synthesis(g_pos, g_neg, plan.grid.nlon).real
     L = c.lmax
     ms = np.arange(-L, L + 1, dtype=np.float64)[None, :]
     c_phi = SpectralField(L, c.coeffs * (1j * ms))
     g_pos, g_neg = _synthesize_m_profiles(c_phi, plan, plan.plm)
-    d_phi = _longitude_synthesis(g_pos, g_neg, plan.grid.nlon, "fft").real
+    d_phi = _longitude_synthesis(g_pos, g_neg, plan.grid.nlon).real
     return d_theta, d_phi
 
 
-def _eigenvalues(lmax: int) -> np.ndarray:
+def laplacian_eigenvalues(lmax: int) -> np.ndarray:
+    """Eigenvalues -l(l+1) of the Laplace-Beltrami operator, shape (lmax+1, 1).
+
+    The column shape broadcasts against a coefficient array; this is the one
+    place the package forms l(l+1) for the spectral operators.
+    """
     ls = np.arange(lmax + 1, dtype=np.float64)[:, None]
     return -ls * (ls + 1.0)
 
 
 def laplace_beltrami_spectral(c: SpectralField) -> SpectralField:
     """Coefficient-wise a_{l,m} -> -l(l+1) a_{l,m}."""
-    return SpectralField(c.lmax, c.coeffs * _eigenvalues(c.lmax))
+    return SpectralField(c.lmax, c.coeffs * laplacian_eigenvalues(c.lmax))
 
 
 def invert_poisson(omega: SpectralField) -> SpectralField:
@@ -328,7 +311,7 @@ def invert_poisson(omega: SpectralField) -> SpectralField:
         raise GaussConstraintError(
             f"mean vorticity {mean:.3e} violates the zero-total-vorticity constraint"
         )
-    eig = _eigenvalues(L)
+    eig = laplacian_eigenvalues(L)
     eig[0, 0] = -1.0  # placeholder, the l = 0 row is zeroed below
     psi = omega.coeffs / (-eig)
     psi[0, :] = 0.0
@@ -347,17 +330,42 @@ def write_spectral_field(c: SpectralField, path) -> None:
 
 
 def read_spectral_field(path) -> SpectralField:
+    """Read an l,m,re,im CSV; lmax is the largest degree present.
+
+    Every row needs exactly four columns, integer indices with |m| <= l, a
+    finite coefficient and an (l, m) pair no earlier row used; any other row
+    raises ValueError naming its line.  Pairs absent from the file are zero.
+    """
+    entries = {}
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "l,m,re,im":
             raise ValueError(f"unexpected header {header!r} in {path}")
-        rows = [line.split(",") for line in fh.read().split()]
-    if not rows:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            where = f"{path} line {lineno}"
+            cols = line.strip().split(",")
+            if len(cols) != 4:
+                raise ValueError(f"{where}: expected 4 columns l,m,re,im, got {len(cols)}")
+            try:
+                l, m = int(cols[0]), int(cols[1])
+                z = complex(float(cols[2]), float(cols[3]))
+            except ValueError as exc:
+                raise ValueError(f"{where}: cannot parse {line.strip()!r}") from exc
+            if abs(m) > l:
+                raise ValueError(f"{where}: (l={l}, m={m}) needs 0 <= |m| <= l")
+            if not cmath.isfinite(z):
+                raise ValueError(f"{where}: non-finite coefficient for (l={l}, m={m})")
+            if (l, m) in entries:
+                raise ValueError(
+                    f"{where}: duplicate (l={l}, m={m}), first given on line {entries[l, m][1]}"
+                )
+            entries[l, m] = (z, lineno)
+    if not entries:
         raise ValueError(f"no coefficients in {path}")
-    ls = np.array([int(r[0]) for r in rows])
-    lmax = int(ls.max())
+    lmax = max(l for l, _ in entries)
     arr = np.zeros((lmax + 1, 2 * lmax + 1), dtype=np.complex128)
-    for r in rows:
-        l, m = int(r[0]), int(r[1])
-        arr[l, lmax + m] = float(r[2]) + 1j * float(r[3])
+    for (l, m), (z, _) in entries.items():
+        arr[l, lmax + m] = z
     return SpectralField(lmax, arr)

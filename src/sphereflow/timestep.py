@@ -37,8 +37,8 @@ class InstabilityError(RuntimeError):
 class EvolutionConfig:
     """Time-stepping parameters.
 
-    ``rho`` is carried for interface completeness only; the pressure is
-    eliminated by the curl and the density never enters the dynamics.
+    There is no density: the curl eliminates the pressure, and the density
+    never enters the vorticity dynamics.
     """
 
     nu: float
@@ -46,7 +46,6 @@ class EvolutionConfig:
     steps: int
     lmax: int
     dealias: bool = True
-    rho: float = 1.0
 
     def __post_init__(self):
         if self.nu < 0.0:
@@ -57,8 +56,6 @@ class EvolutionConfig:
             raise ValueError("need at least one step")
         if self.lmax < 2:
             raise ValueError("need lmax >= 2")
-        if self.rho <= 0.0:
-            raise ValueError("density must be positive")
         stiffness = self.dt * self.nu * self.lmax * (self.lmax + 1)
         if stiffness >= STABILITY_LIMIT:
             raise ValueError(
@@ -109,10 +106,13 @@ def transform_plan_for(lmax: int, dealias: bool) -> spharm.TransformPlan:
     return spharm.build_plan(grid, lmax)
 
 
-def _advection_coeffs(coeffs: np.ndarray, plan: spharm.TransformPlan) -> np.ndarray:
-    """Spectral image of (1/sin) J(psi, omega) for the given vorticity coefficients."""
+def _advection_coeffs(omega: spharm.SpectralField, plan: spharm.TransformPlan) -> np.ndarray:
+    """Spectral image of (1/sin) J(psi, omega).
+
+    Raises :class:`~sphereflow.spharm.GaussConstraintError` through
+    :func:`~sphereflow.spharm.invert_poisson` when the mean vorticity is nonzero.
+    """
     L = plan.lmax
-    omega = spharm.SpectralField(L, coeffs)
     psi = spharm.invert_poisson(omega)
     om_t, om_p = spharm.synthesize_gradient(omega, plan)
     ps_t, ps_p = spharm.synthesize_gradient(psi, plan)
@@ -129,32 +129,25 @@ def rhs(
     cfg: EvolutionConfig,
     plan: spharm.TransformPlan | None = None,
 ) -> spharm.SpectralField:
-    """Spectral tendency -(1/sin) J(psi, omega) + nu * lap(omega)."""
+    """Spectral tendency -(1/sin) J(psi, omega) + nu * lap(omega).
+
+    This is the tendency :func:`evolve` steps.  A nonzero mean vorticity
+    raises :class:`~sphereflow.spharm.GaussConstraintError`.
+    """
     if plan is None:
         plan = transform_plan_for(cfg.lmax, cfg.dealias)
     if omega.lmax != plan.lmax:
         raise ValueError("vorticity truncation does not match the plan")
-    mean = abs(complex(omega.coeffs[0, omega.lmax]))
-    if mean > spharm.GAUSS_CONSTRAINT_RTOL * max(spharm.l2_norm(omega), np.finfo(float).tiny):
-        raise spharm.GaussConstraintError(
-            f"mean vorticity {mean:.3e} violates the zero-total-vorticity constraint"
-        )
-    tend = -_advection_coeffs(omega.coeffs, plan)
+    tend = -_advection_coeffs(omega, plan)
     if cfg.nu != 0.0:
-        tend = tend + cfg.nu * _spectral_eigenvalues(plan.lmax) * omega.coeffs
+        tend = tend + cfg.nu * spharm.laplacian_eigenvalues(plan.lmax) * omega.coeffs
     return spharm.SpectralField(plan.lmax, tend)
-
-
-def _spectral_eigenvalues(lmax: int) -> np.ndarray:
-    ls = np.arange(lmax + 1, dtype=np.float64)[:, None]
-    return -ls * (ls + 1.0)
 
 
 def _energy_enstrophy(coeffs: np.ndarray, lmax: int):
     power = np.abs(coeffs) ** 2
-    ls = np.arange(lmax + 1, dtype=np.float64)
     inv = np.zeros(lmax + 1)
-    inv[1:] = 1.0 / (ls[1:] * (ls[1:] + 1.0))
+    inv[1:] = 1.0 / -spharm.laplacian_eigenvalues(lmax)[1:, 0]
     energy = 0.5 * float(inv @ power.sum(axis=1))
     enstrophy = 0.5 * float(power.sum())
     return energy, enstrophy
@@ -164,27 +157,15 @@ def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
     """March ``steps`` RK4 steps from ``omega0`` and record diagnostics.
 
     Energy is 0.5 * int |grad psi|^2 dA and enstrophy 0.5 * int omega^2 dA,
-    both evaluated from coefficients.  Raises :class:`InstabilityError` when
-    the grid maximum of |omega| exceeds ten times its initial value.
+    both evaluated from coefficients.  Each stage calls :func:`rhs`, so a
+    nonzero mean vorticity raises
+    :class:`~sphereflow.spharm.GaussConstraintError` before the first step.
+    Raises :class:`InstabilityError` when the grid maximum of |omega| exceeds
+    ten times its initial value.
     """
     plan = transform_plan_for(cfg.lmax, cfg.dealias)
     if omega0.lmax != cfg.lmax:
         raise ValueError("initial condition truncation does not match the config")
-    eig = _spectral_eigenvalues(cfg.lmax)
-    nu = cfg.nu
-
-    def tendency(c: np.ndarray) -> np.ndarray:
-        out = -_advection_coeffs(c, plan)
-        if nu != 0.0:
-            out += nu * eig * c
-        return out
-
-    mean = abs(complex(omega0.coeffs[0, cfg.lmax]))
-    if mean > spharm.GAUSS_CONSTRAINT_RTOL * max(spharm.l2_norm(omega0), np.finfo(float).tiny):
-        raise spharm.GaussConstraintError(
-            f"mean vorticity {mean:.3e} violates the zero-total-vorticity constraint"
-        )
-
     band = plan.grid.band_mask(*DEFAULT_BAND)
     n = cfg.steps
     times = cfg.dt * np.arange(n + 1)
@@ -193,13 +174,12 @@ def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
     max_omega = np.empty(n + 1)
     drift = np.empty(n + 1)
 
-    c = np.array(omega0.coeffs)
-    values0 = spharm.synthesize(spharm.SpectralField(cfg.lmax, c), plan).values
+    values0 = spharm.synthesize(omega0, plan).values
     initial_max = float(np.max(np.abs(values0)))
 
-    def record(k: int, coeffs: np.ndarray) -> None:
-        energy[k], enstrophy[k] = _energy_enstrophy(coeffs, cfg.lmax)
-        values = spharm.synthesize(spharm.SpectralField(cfg.lmax, coeffs), plan).values
+    def record(k: int, omega: spharm.SpectralField) -> None:
+        energy[k], enstrophy[k] = _energy_enstrophy(omega.coeffs, cfg.lmax)
+        values = spharm.synthesize(omega, plan).values
         max_omega[k] = float(np.max(np.abs(values)))
         drift[k] = float(np.max(np.abs((values - values0)[band, :])))
         if max_omega[k] > 10.0 * initial_max:
@@ -208,15 +188,17 @@ def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
                 f"ten times the initial {initial_max:.3e}"
             )
 
-    record(0, c)
-    dt = cfg.dt
+    omega = omega0
+    record(0, omega)
+    L, dt = cfg.lmax, cfg.dt
     for k in range(1, n + 1):
-        k1 = tendency(c)
-        k2 = tendency(c + 0.5 * dt * k1)
-        k3 = tendency(c + 0.5 * dt * k2)
-        k4 = tendency(c + dt * k3)
-        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        record(k, c)
+        c = omega.coeffs
+        k1 = rhs(omega, cfg, plan).coeffs
+        k2 = rhs(spharm.SpectralField(L, c + 0.5 * dt * k1), cfg, plan).coeffs
+        k3 = rhs(spharm.SpectralField(L, c + 0.5 * dt * k2), cfg, plan).coeffs
+        k4 = rhs(spharm.SpectralField(L, c + dt * k3), cfg, plan).coeffs
+        omega = spharm.SpectralField(L, c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        record(k, omega)
     return TimeSeries(
         times=times, energy=energy, enstrophy=enstrophy, max_omega=max_omega, drift=drift
     )

@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from . import exact, operators
+from . import exact, operators, spharm
 from .grid import (
     DEFAULT_BAND,
     Grid,
@@ -107,11 +107,9 @@ def global_harmonic_nullspace(lmax: int) -> int:
     """
     if lmax < 1:
         raise ValueError("lmax must be at least 1")
-    ls = np.arange(lmax + 1)[:, None]
-    ms = np.arange(-lmax, lmax + 1)[None, :]
-    eigen = -(ls * (ls + 1.0)) * np.ones_like(ms, dtype=np.float64)
-    retained = np.abs(ms) <= ls
-    return int(np.count_nonzero(np.abs(eigen[retained]) < 0.5))
+    eigen = spharm.laplacian_eigenvalues(lmax)[:, 0]
+    orders = 2 * np.arange(lmax + 1) + 1  # degree l holds the orders |m| <= l
+    return int(orders[np.abs(eigen) < 0.5].sum())
 
 
 def _fourth_order_d1(values: np.ndarray, h: float) -> np.ndarray:

@@ -102,6 +102,15 @@ def test_evolve_from_spectral_file(tmp_path):
     assert code == 0
 
 
+def test_evolve_rejects_non_finite_spectral_file(tmp_path, capsys):
+    # a nan coefficient used to surface as "coefficients with |m| > l must be zero"
+    path = tmp_path / "ic.csv"
+    path.write_text("l,m,re,im\n1,0,1.0,0.0\n2,1,nan,0.0\n")
+    argv = ["evolve", "--init", f"file:{path}", "--lmax", "6", "--steps", "2"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "line 3: non-finite coefficient" in capsys.readouterr().err
+
+
 def test_evolve_outputs_are_deterministic(tmp_path):
     argv = ["evolve", "--init", "basic", "--lmax", "10", "--nu", "0.02",
             "--dt", "0.01", "--steps", "25"]

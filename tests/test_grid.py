@@ -157,6 +157,31 @@ def test_scalar_field_csv_round_trip(tmp_path):
     assert np.array_equal(values, f.values)
 
 
+def _phi_major(lines):
+    rows = sorted(lines[1:], key=lambda r: tuple(float(x) for x in r.split(",")[1::-1]))
+    return lines[:1] + rows
+
+
+@pytest.mark.parametrize(
+    "corrupt,match",
+    [
+        (_phi_major, "data row 2: rows must be theta-major"),
+        (lambda lines: lines[:-1], "15 rows; a full grid of 4 thetas x 4 phis needs 16"),
+        (lambda lines: lines[:5] + lines[4:-1], "data row 5: rows must be theta-major"),
+        (lambda lines: lines[:3] + ["0.5,0.5,nan"] + lines[4:], "data row 3: non-finite"),
+        (lambda lines: lines[:3] + ["0.5,0.5"] + lines[4:], "data row 3: expected 3 columns"),
+    ],
+    ids=["phi-major", "missing-row", "duplicate-row", "nan", "two-columns"],
+)
+def test_scalar_field_csv_rejects_malformed_files(tmp_path, corrupt, match):
+    g = build_grid(GridSpec(nlat=4, nlon=4))
+    path = tmp_path / "field.csv"
+    write_scalar_field(ScalarField(g, np.arange(16.0).reshape(4, 4)), path)
+    path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=match):
+        read_scalar_field(path)
+
+
 def test_weights_must_sum_to_two():
     thetas = np.linspace(0.3, np.pi - 0.3, 8)
     with pytest.raises(ValueError):

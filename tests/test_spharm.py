@@ -76,15 +76,38 @@ def test_round_trip_random_coefficients(plan20):
     assert np.max(np.abs(back.coeffs - c.coeffs)) <= 1e-12
 
 
+def _legendre_all_orders(plan):
+    """Pbar_l^m for m = -L..L, shape (nlat, L+1, 2L+1); Pbar_l^-m = (-1)^m Pbar_l^m."""
+    ms = np.arange(-plan.lmax, plan.lmax + 1)
+    signs = np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
+    return plan.plm[:, :, np.abs(ms)] * signs, ms
+
+
+def _direct_synthesis(c, plan):
+    """sum a_{l,m} Y_l^m with an explicit longitude sum instead of the FFT."""
+    p, ms = _legendre_all_orders(plan)
+    profiles = np.einsum("ilm,lm->im", p, c.coeffs)
+    return profiles @ np.exp(1j * np.outer(ms, plan.grid.phis))
+
+
+def _direct_analysis(values, plan):
+    """a_{l,m} = sum_i w_i dphi sum_j f conj(Y_l^m) with an explicit longitude sum."""
+    g = plan.grid
+    p, ms = _legendre_all_orders(plan)
+    spectrum = values @ np.exp(-1j * np.outer(g.phis, ms)) * g.dphi
+    return np.einsum("i,ilm,im->lm", g.weights, p, spectrum)
+
+
 def test_longitude_transforms_agree(plan20):
+    # the FFT path against the direct discrete Fourier sum over all orders
     rng = np.random.default_rng(4)
     c = spharm.random_real_field(20, rng)
     f_fft = spharm.synthesize(c, plan20)
-    f_dir = spharm.synthesize(c, plan20, longitude_transform="direct")
-    assert np.max(np.abs(f_fft.values - f_dir.values)) <= 1e-12
+    f_dir = _direct_synthesis(c, plan20)
+    assert np.max(np.abs(f_fft.values - f_dir)) <= 1e-12
     a_fft = spharm.analyze(f_fft, plan20)
-    a_dir = spharm.analyze(f_fft, plan20, longitude_transform="direct")
-    assert np.max(np.abs(a_fft.coeffs - a_dir.coeffs)) <= 1e-12
+    a_dir = _direct_analysis(f_fft.values, plan20)
+    assert np.max(np.abs(a_fft.coeffs - a_dir)) <= 1e-12
 
 
 def test_laplacian_eigenvalues():
@@ -203,3 +226,26 @@ def test_spectral_csv_round_trip(tmp_path):
     back = spharm.read_spectral_field(path)
     assert back.lmax == 7
     assert np.array_equal(back.coeffs, c.coeffs)
+
+
+@pytest.mark.parametrize(
+    "row,match",
+    [
+        ("1,-5,1.0,0.0", r"line 4: \(l=1, m=-5\) needs 0 <= \|m\| <= l"),
+        ("-1,0,1.0,0.0", r"line 4: \(l=-1, m=0\) needs"),
+        ("1,0,2.0,0.0", r"line 4: duplicate \(l=1, m=0\), first given on line 3"),
+        ("2,1,nan,0.0", "line 4: non-finite coefficient"),
+        ("2,1,0.0,inf", "line 4: non-finite coefficient"),
+        ("2,1,1.0", "line 4: expected 4 columns"),
+        ("2,1,1.0,0.0,0.0", "line 4: expected 4 columns"),
+        ("2.5,1,1.0,0.0", "line 4: cannot parse"),
+    ],
+    ids=["m-beyond-l", "negative-l", "duplicate", "nan", "inf", "three-columns",
+         "five-columns", "non-integer-degree"],
+)
+def test_spectral_csv_rejects_bad_rows(tmp_path, row, match):
+    path = tmp_path / "coeffs.csv"
+    path.write_text(f"l,m,re,im\n0,0,0.0,0.0\n1,0,1.0,0.0\n{row}\n")
+    with pytest.raises(ValueError, match=match):
+        spharm.read_spectral_field(path)
+

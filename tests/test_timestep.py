@@ -25,7 +25,7 @@ P1 = exact.VortexPairParams(k1=1.0, k2=0.0)
         dict(nu=0.1, dt=0.0, steps=10, lmax=8),
         dict(nu=0.1, dt=1e-3, steps=0, lmax=8),
         dict(nu=0.1, dt=1e-3, steps=10, lmax=1),
-        dict(nu=0.1, dt=1e-3, steps=10, lmax=8, rho=0.0),
+        dict(nu=0.1, dt=-1e-3, steps=10, lmax=8),
         dict(nu=1.0, dt=0.05, steps=10, lmax=8),  # 0.05*72 = 3.6 > 2.8
     ],
 )
@@ -62,11 +62,34 @@ def test_rhs_conserves_mean_exactly():
     assert complex(tend.coeffs[0, 10]) == 0.0
 
 
-def test_rhs_rejects_mean_vorticity():
+@pytest.mark.parametrize("entry", [rhs, evolve], ids=["rhs", "evolve"])
+def test_rhs_rejects_mean_vorticity(entry):
+    # the one Gauss check sits in invert_poisson; both entry points reach it
     cfg = EvolutionConfig(nu=0.0, dt=1e-3, steps=1, lmax=4)
     omega = spharm.with_coeff(spharm.zeros(4), 0, 0, 1.0)
-    with pytest.raises(spharm.GaussConstraintError):
-        rhs(omega, cfg)
+    with pytest.raises(spharm.GaussConstraintError, match="zero-total-vorticity"):
+        entry(omega, cfg)
+
+
+def _mix(lmax, *modes):
+    coeffs = sum(a * spharm.real_single_mode(lmax, l, m).coeffs for l, m, a in modes)
+    return spharm.SpectralField(lmax, coeffs)
+
+
+def test_bracket_vanishes_for_a_pure_degree_field():
+    # omega = Y_2^1 + 0.7 Y_2^2 has omega = 6 psi, so J(psi, omega) = 0 even
+    # though each product term of the pseudo-spectral bracket is about 0.1;
+    # a zonal field cannot test this, both of its terms vanish identically
+    L = 8
+    cfg = EvolutionConfig(nu=0.0, dt=1e-3, steps=1, lmax=L)
+    plan = timestep.transform_plan_for(L, True)
+    pure = _mix(L, (2, 1, 1.0), (2, 2, 0.7))
+    om_t, _ = spharm.synthesize_gradient(pure, plan)
+    _, ps_p = spharm.synthesize_gradient(spharm.invert_poisson(pure), plan)
+    assert np.max(np.abs(ps_p * om_t / plan.grid.sin_thetas[:, None])) > 0.05
+    assert np.max(np.abs(rhs(pure, cfg, plan).coeffs)) <= 1e-15
+    mixed = _mix(L, (2, 1, 1.0), (3, 2, 0.7))
+    assert np.max(np.abs(rhs(mixed, cfg, plan).coeffs)) > 1e-2
 
 
 def test_rhs_of_zonal_projection_is_pure_viscous():
