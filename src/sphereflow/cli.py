@@ -118,14 +118,7 @@ def _initial_condition(spec: str, lmax: int, p, dealias: bool):
             raise ValueError(f"cannot parse harmonic initial condition {spec!r}") from exc
         return spharm.real_single_mode(lmax, l, m)
     if spec.startswith("file:"):
-        field = spharm.read_spectral_field(spec.split(":", 1)[1])
-        if field.lmax > lmax:
-            raise ValueError(
-                f"file holds lmax={field.lmax}, exceeds the configured truncation {lmax}"
-            )
-        arr = np.zeros((lmax + 1, 2 * lmax + 1), dtype=np.complex128)
-        arr[: field.lmax + 1, lmax - field.lmax : lmax + field.lmax + 1] = field.coeffs
-        return spharm.SpectralField(lmax, arr)
+        return spharm.read_spectral_field(spec.split(":", 1)[1], lmax)
     raise ValueError(f"unknown initial condition {spec!r}")
 
 

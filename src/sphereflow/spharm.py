@@ -11,8 +11,13 @@ with eigenvalues -l(l+1), which makes the Poisson inversion of the
 vorticity-streamfunction relation a coefficient division.
 
 Normalized associated Legendre functions are generated with the standard
-forward-stable three-term recurrences; longitude transforms go through the
-FFT.
+forward-stable three-term recurrences.  Every transformed field is real, so
+the transforms work on orders m >= 0 only: one Legendre contraction per
+table and one real FFT (``rfft``/``irfft``) in longitude.  :func:`analyze`
+fills the orders m < 0 from the symmetry above; :func:`synthesize` and
+:func:`synthesize_gradient` never read them, and first check the symmetry
+(raising :class:`SymmetryError`), because ``irfft`` would otherwise drop the
+imaginary part of a non-real field without a trace.
 """
 
 from __future__ import annotations
@@ -116,11 +121,15 @@ def l2_norm(c: SpectralField) -> float:
 
 
 def is_conjugate_symmetric(c: SpectralField, tol: float = 1e-12) -> bool:
-    """Check a_{l,-m} == (-1)^m conj(a_{l,m}) to within ``tol`` (absolute)."""
+    """Check a_{l,-m} == (-1)^m conj(a_{l,m}) to within ``tol`` (absolute).
+
+    The orders m = 0 are included, where the relation reads
+    2 |Im a_{l,0}| <= tol.
+    """
     L = c.lmax
-    signs = (-1.0) ** np.arange(1, L + 1)
-    neg = c.coeffs[:, L - 1 :: -1][:, : L]
-    pos = c.coeffs[:, L + 1 :]
+    signs = (-1.0) ** np.arange(L + 1)
+    neg = c.coeffs[:, L::-1]  # m = 0, -1, ..., -L
+    pos = c.coeffs[:, L:]
     return bool(np.max(np.abs(neg - signs[None, :] * np.conj(pos)), initial=0.0) <= tol)
 
 
@@ -201,86 +210,65 @@ def _require_plan_grid(f: ScalarField, plan: TransformPlan) -> None:
 
 
 def analyze(f: ScalarField, plan: TransformPlan) -> SpectralField:
-    """Project a field onto the orthonormal basis by quadrature.
+    """Project a real field onto the orthonormal basis by quadrature.
 
-    a_{l,m} = sum_i w_i dphi sum_j f(theta_i, phi_j) conj(Y_l^m); exact for
-    band-limited fields on Gauss-Legendre grids resolving the truncation.
+    a_{l,m} = sum_i w_i dphi sum_j f(theta_i, phi_j) conj(Y_l^m) for m >= 0;
+    the orders m < 0 are set to (-1)^m conj(a_{l,m}), so the result is
+    conjugate-symmetric by construction.  Exact for band-limited fields on
+    Gauss-Legendre grids resolving the truncation.
     """
     _require_plan_grid(f, plan)
     g, L = plan.grid, plan.lmax
-    F = np.fft.fft(f.values, axis=1) * g.dphi  # F[i, k] = dphi sum_j f exp(-i k phi_j)
-    w = g.weights
-    a_pos = np.einsum("i,ilm,im->lm", w, plan.plm, F[:, : L + 1])
-    arr = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
-    arr[:, L:] = a_pos
-    if L > 0:
-        # conj(Y_l^{-m}) = (-1)^m Pbar_l^m exp(+i m phi) picks the bin nlon - m
-        F_neg = F[:, -1 : -(L + 1) : -1]
-        signs = (-1.0) ** np.arange(1, L + 1)
-        a_neg = np.einsum("i,ilm,im->lm", w, plan.plm[:, :, 1:], F_neg) * signs[None, :]
-        arr[:, :L] = a_neg[:, ::-1]
-    return SpectralField(L, arr)
+    F = np.fft.rfft(f.values, axis=1)[:, : L + 1] * g.dphi  # dphi sum_j f exp(-i m phi_j)
+    a_pos = np.einsum("i,ilm,im->lm", g.weights, plan.plm, F)
+    a_neg = (-1.0) ** np.arange(L + 1) * np.conj(a_pos)
+    return SpectralField(L, np.concatenate([a_neg[:, :0:-1], a_pos], axis=1))
 
 
-def _synthesize_m_profiles(c: SpectralField, plan: TransformPlan, tables: np.ndarray):
-    """Latitude profiles G_m(theta_i) for m = 0..L and their negative-m twins."""
-    L = c.lmax
-    sub = tables[:, : L + 1, : L + 1]
-    g_pos = np.einsum("ilm,lm->im", sub, c.coeffs[:, L:])
-    if L == 0:
-        return g_pos, np.zeros((tables.shape[0], 0), dtype=np.complex128)
-    signs = (-1.0) ** np.arange(1, L + 1)
-    a_neg = c.coeffs[:, :L][:, ::-1]
-    g_neg = np.einsum("ilm,lm->im", sub[:, :, 1:], a_neg) * signs[None, :]
-    return g_pos, g_neg
-
-
-def _longitude_synthesis(g_pos, g_neg, nlon: int) -> np.ndarray:
-    spectrum = np.zeros((g_pos.shape[0], nlon), dtype=np.complex128)
-    L = g_pos.shape[1] - 1
-    spectrum[:, : L + 1] = g_pos
-    if g_neg.shape[1]:
-        spectrum[:, -1 : -(L + 1) : -1] = g_neg
-    return np.fft.ifft(spectrum, axis=1) * nlon
-
-
-def synthesize_complex(c: SpectralField, plan: TransformPlan) -> np.ndarray:
-    """Pointwise sum a_{l,m} Y_l^m on the plan's grid, kept complex."""
+def _require_real(c: SpectralField, plan: TransformPlan) -> None:
     if c.lmax > plan.lmax:
         raise ValueError(f"plan resolves lmax={plan.lmax} < field lmax={c.lmax}")
-    g_pos, g_neg = _synthesize_m_profiles(c, plan, plan.plm)
-    return _longitude_synthesis(g_pos, g_neg, plan.grid.nlon)
+    tol = 1e-10 * max(1.0, l2_norm(c))
+    if not is_conjugate_symmetric(c, tol):
+        raise SymmetryError(
+            f"a_(l,-m) differs from (-1)^m conj(a_(l,m)) by more than {tol:.3e}; "
+            "coefficients do not describe a real field"
+        )
+
+
+def _order_profiles(c: SpectralField, tables: np.ndarray) -> np.ndarray:
+    """Latitude profiles G_m(theta_i) = sum_l a_{l,m} tables[i, l, m], m = 0..L."""
+    L = c.lmax
+    return np.einsum("ilm,lm->im", tables[:, : L + 1, : L + 1], c.coeffs[:, L:])
+
+
+def _longitude_synthesis(profiles: np.ndarray, nlon: int) -> np.ndarray:
+    """Real sum over all orders of G_m exp(i m phi_j), with G_{-m} = conj(G_m)."""
+    return np.fft.irfft(profiles, n=nlon, axis=1) * nlon
 
 
 def synthesize(c: SpectralField, plan: TransformPlan) -> ScalarField:
     """Evaluate sum a_{l,m} Y_l^m on the plan's grid as a real field.
 
-    The imaginary residue must stay below 1e-10 * max(1, |field|); a larger
-    residue indicates broken conjugate symmetry and raises
+    Coefficients that break a_{l,-m} = (-1)^m conj(a_{l,m}) by more than
+    1e-10 * max(1, ||a||_2) do not describe a real field and raise
     :class:`SymmetryError`.
     """
-    values = synthesize_complex(c, plan)
-    residue = float(np.max(np.abs(values.imag), initial=0.0))
-    scale = max(1.0, float(np.max(np.abs(values.real), initial=0.0)))
-    if residue > 1e-10 * scale:
-        raise SymmetryError(
-            f"imaginary residue {residue:.3e} exceeds tolerance; "
-            "coefficients do not describe a real field"
-        )
-    return ScalarField(plan.grid, values.real)
+    _require_real(c, plan)
+    profiles = _order_profiles(c, plan.plm)
+    return ScalarField(plan.grid, _longitude_synthesis(profiles, plan.grid.nlon))
 
 
 def synthesize_gradient(c: SpectralField, plan: TransformPlan):
-    """Pointwise (df/dtheta, df/dphi) of the truncated expansion, as real arrays."""
-    if c.lmax > plan.lmax:
-        raise ValueError(f"plan resolves lmax={plan.lmax} < field lmax={c.lmax}")
-    g_pos, g_neg = _synthesize_m_profiles(c, plan, plan.dplm)
-    d_theta = _longitude_synthesis(g_pos, g_neg, plan.grid.nlon).real
-    L = c.lmax
-    ms = np.arange(-L, L + 1, dtype=np.float64)[None, :]
-    c_phi = SpectralField(L, c.coeffs * (1j * ms))
-    g_pos, g_neg = _synthesize_m_profiles(c_phi, plan, plan.plm)
-    d_phi = _longitude_synthesis(g_pos, g_neg, plan.grid.nlon).real
+    """Pointwise (df/dtheta, df/dphi) of the truncated expansion, as real arrays.
+
+    The symmetry requirement of :func:`synthesize` applies.
+    """
+    _require_real(c, plan)
+    nlon = plan.grid.nlon
+    d_theta = _longitude_synthesis(_order_profiles(c, plan.dplm), nlon)
+    profiles = _order_profiles(c, plan.plm)
+    d_phi = _longitude_synthesis(1j * np.arange(c.lmax + 1) * profiles, nlon)
     return d_theta, d_phi
 
 
@@ -329,14 +317,16 @@ def write_spectral_field(c: SpectralField, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_spectral_field(path) -> SpectralField:
-    """Read an l,m,re,im CSV; lmax is the largest degree present.
+def read_spectral_field(path, lmax: int) -> SpectralField:
+    """Read an l,m,re,im CSV into a field truncated at ``lmax``.
 
-    Every row needs exactly four columns, integer indices with |m| <= l, a
-    finite coefficient and an (l, m) pair no earlier row used; any other row
-    raises ValueError naming its line.  Pairs absent from the file are zero.
+    Every row needs exactly four columns, integer indices with
+    |m| <= l <= lmax, a finite coefficient and an (l, m) pair no earlier row
+    used; any other row raises ValueError naming its line, before anything
+    is allocated for its degree.  Pairs absent from the file are zero.
     """
-    entries = {}
+    arr = np.zeros((lmax + 1, 2 * lmax + 1), dtype=np.complex128)
+    first_line = {}
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "l,m,re,im":
@@ -355,17 +345,16 @@ def read_spectral_field(path) -> SpectralField:
                 raise ValueError(f"{where}: cannot parse {line.strip()!r}") from exc
             if abs(m) > l:
                 raise ValueError(f"{where}: (l={l}, m={m}) needs 0 <= |m| <= l")
+            if l > lmax:
+                raise ValueError(f"{where}: degree l={l} exceeds the truncation lmax={lmax}")
             if not cmath.isfinite(z):
                 raise ValueError(f"{where}: non-finite coefficient for (l={l}, m={m})")
-            if (l, m) in entries:
+            if (l, m) in first_line:
                 raise ValueError(
-                    f"{where}: duplicate (l={l}, m={m}), first given on line {entries[l, m][1]}"
+                    f"{where}: duplicate (l={l}, m={m}), first given on line {first_line[l, m]}"
                 )
-            entries[l, m] = (z, lineno)
-    if not entries:
+            first_line[l, m] = lineno
+            arr[l, lmax + m] = z
+    if not first_line:
         raise ValueError(f"no coefficients in {path}")
-    lmax = max(l for l, _ in entries)
-    arr = np.zeros((lmax + 1, 2 * lmax + 1), dtype=np.complex128)
-    for (l, m), (z, _) in entries.items():
-        arr[l, lmax + m] = z
     return SpectralField(lmax, arr)

@@ -48,10 +48,10 @@ class EvolutionConfig:
     dealias: bool = True
 
     def __post_init__(self):
-        if self.nu < 0.0:
-            raise ValueError("viscosity must be nonnegative")
-        if self.dt <= 0.0:
-            raise ValueError("time step must be positive")
+        if not (math.isfinite(self.nu) and self.nu >= 0.0):
+            raise ValueError(f"viscosity must be finite and nonnegative, got {self.nu}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"time step must be finite and positive, got {self.dt}")
         if self.steps < 1:
             raise ValueError("need at least one step")
         if self.lmax < 2:

@@ -111,6 +111,28 @@ def test_evolve_rejects_non_finite_spectral_file(tmp_path, capsys):
     assert "line 3: non-finite coefficient" in capsys.readouterr().err
 
 
+def test_evolve_rejects_huge_degree_before_allocating(tmp_path):
+    # the degree is checked against --lmax before the reader sizes its array
+    path = tmp_path / "ic.csv"
+    path.write_text("l,m,re,im\n100000000,0,1.0,0.0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sphereflow", "evolve", "--init", f"file:{path}",
+         "--lmax", "6", "--steps", "2", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "line 2: degree l=100000000 exceeds the truncation lmax=6" in proc.stderr
+
+
+def test_evolve_rejects_non_finite_viscosity(tmp_path, capsys):
+    argv = ["evolve", "--init", "harmonic:2,1", "--lmax", "4", "--nu", "nan",
+            "--dt", "1e-3", "--steps", "2", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "viscosity must be finite" in capsys.readouterr().err
+
+
 def test_evolve_outputs_are_deterministic(tmp_path):
     argv = ["evolve", "--init", "basic", "--lmax", "10", "--nu", "0.02",
             "--dt", "0.01", "--steps", "25"]

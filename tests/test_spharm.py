@@ -76,16 +76,19 @@ def test_round_trip_random_coefficients(plan20):
     assert np.max(np.abs(back.coeffs - c.coeffs)) <= 1e-12
 
 
-def _legendre_all_orders(plan):
-    """Pbar_l^m for m = -L..L, shape (nlat, L+1, 2L+1); Pbar_l^-m = (-1)^m Pbar_l^m."""
+def _legendre_all_orders(plan, tables):
+    """tables[:, l, |m|] for m = -L..L, shape (nlat, L+1, 2L+1); Pbar_l^-m = (-1)^m Pbar_l^m."""
     ms = np.arange(-plan.lmax, plan.lmax + 1)
     signs = np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
-    return plan.plm[:, :, np.abs(ms)] * signs, ms
+    return tables[:, :, np.abs(ms)] * signs, ms
 
 
-def _direct_synthesis(c, plan):
-    """sum a_{l,m} Y_l^m with an explicit longitude sum instead of the FFT."""
-    p, ms = _legendre_all_orders(plan)
+def _direct_synthesis(c, plan, tables=None):
+    """sum a_{l,m} Y_l^m with an explicit longitude sum instead of the FFT.
+
+    ``tables`` replaces ``plan.plm`` (``plan.dplm`` gives the theta derivative).
+    """
+    p, ms = _legendre_all_orders(plan, plan.plm if tables is None else tables)
     profiles = np.einsum("ilm,lm->im", p, c.coeffs)
     return profiles @ np.exp(1j * np.outer(ms, plan.grid.phis))
 
@@ -93,7 +96,7 @@ def _direct_synthesis(c, plan):
 def _direct_analysis(values, plan):
     """a_{l,m} = sum_i w_i dphi sum_j f conj(Y_l^m) with an explicit longitude sum."""
     g = plan.grid
-    p, ms = _legendre_all_orders(plan)
+    p, ms = _legendre_all_orders(plan, plan.plm)
     spectrum = values @ np.exp(-1j * np.outer(g.phis, ms)) * g.dphi
     return np.einsum("i,ilm,im->lm", g.weights, p, spectrum)
 
@@ -108,6 +111,19 @@ def test_longitude_transforms_agree(plan20):
     a_fft = spharm.analyze(f_fft, plan20)
     a_dir = _direct_analysis(f_fft.values, plan20)
     assert np.max(np.abs(a_fft.coeffs - a_dir)) <= 1e-12
+
+
+def test_gradient_matches_direct_oracle(plan20):
+    # both components against the all-orders sum: dPbar/dtheta, and i m a_{l,m};
+    # the gradients reach a few hundred, so the bound is relative to their size
+    rng = np.random.default_rng(6)
+    c = spharm.random_real_field(20, rng)
+    d_theta, d_phi = spharm.synthesize_gradient(c, plan20)
+    ms = np.arange(-20, 21)[None, :]
+    c_phi = spharm.SpectralField(20, c.coeffs * (1j * ms))
+    for got, ref in [(d_theta, _direct_synthesis(c, plan20, plan20.dplm)),
+                     (d_phi, _direct_synthesis(c_phi, plan20))]:
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_laplacian_eigenvalues():
@@ -160,6 +176,15 @@ def test_synthesize_rejects_broken_symmetry(plan20):
         spharm.synthesize(c, plan20)
 
 
+def test_synthesize_rejects_complex_zonal_coefficient(plan20):
+    # a_{l,0} must be real; irfft would silently drop its imaginary part
+    c = spharm.with_coeff(spharm.zeros(20), 2, 0, 1.0 + 1.0j)
+    with pytest.raises(spharm.SymmetryError):
+        spharm.synthesize(c, plan20)
+    with pytest.raises(spharm.SymmetryError):
+        spharm.synthesize_gradient(c, plan20)
+
+
 def test_synthesize_plan_too_small():
     grid = build_grid(GridSpec(nlat=8, nlon=16))
     plan = spharm.build_plan(grid, 5)
@@ -167,12 +192,11 @@ def test_synthesize_plan_too_small():
         spharm.synthesize(spharm.zeros(7), plan)
 
 
-def test_synthesize_complex_single_order(plan20):
-    # a lone a_{2,1} = 1 is not a real field, but its complex synthesis is Y_2^1
-    c = spharm.with_coeff(spharm.zeros(20), 2, 1, 1.0)
-    values = spharm.synthesize_complex(c, plan20)
+def test_synthesize_real_single_order(plan20):
+    # (Y_2^1 - Y_2^-1) / sqrt(2) = sqrt(2) Re Y_2^1 pins the order and phase convention
+    values = spharm.synthesize(spharm.real_single_mode(20, 2, 1), plan20).values
     g = plan20.grid
-    ref = sph_harm_y(2, 1, g.thetas[:, None], g.phis[None, :])
+    ref = math.sqrt(2.0) * sph_harm_y(2, 1, g.thetas[:, None], g.phis[None, :]).real
     assert np.max(np.abs(values - ref)) < 1e-13
 
 
@@ -193,6 +217,7 @@ def test_conjugate_symmetry_checker():
     good = spharm.random_real_field(6, rng)
     assert spharm.is_conjugate_symmetric(good)
     assert not spharm.is_conjugate_symmetric(spharm.with_coeff(good, 3, -2, 5.0))
+    assert not spharm.is_conjugate_symmetric(spharm.with_coeff(good, 2, 0, 1.0 + 1.0j))
 
 
 def test_parseval(plan20):
@@ -223,9 +248,19 @@ def test_spectral_csv_round_trip(tmp_path):
     c = spharm.random_real_field(7, rng)
     path = tmp_path / "coeffs.csv"
     spharm.write_spectral_field(c, path)
-    back = spharm.read_spectral_field(path)
+    back = spharm.read_spectral_field(path, 7)
     assert back.lmax == 7
     assert np.array_equal(back.coeffs, c.coeffs)
+
+
+def test_spectral_csv_pads_to_truncation(tmp_path):
+    c = spharm.random_real_field(3, np.random.default_rng(5))
+    path = tmp_path / "coeffs.csv"
+    spharm.write_spectral_field(c, path)
+    back = spharm.read_spectral_field(path, 6)
+    assert back.lmax == 6
+    assert np.array_equal(back.coeffs[:4, 3:10], c.coeffs)
+    assert np.count_nonzero(back.coeffs) == np.count_nonzero(c.coeffs)
 
 
 @pytest.mark.parametrize(
@@ -239,13 +274,14 @@ def test_spectral_csv_round_trip(tmp_path):
         ("2,1,1.0", "line 4: expected 4 columns"),
         ("2,1,1.0,0.0,0.0", "line 4: expected 4 columns"),
         ("2.5,1,1.0,0.0", "line 4: cannot parse"),
+        ("100000000,0,1.0,0.0", "line 4: degree l=100000000 exceeds the truncation lmax=4"),
     ],
     ids=["m-beyond-l", "negative-l", "duplicate", "nan", "inf", "three-columns",
-         "five-columns", "non-integer-degree"],
+         "five-columns", "non-integer-degree", "huge-degree"],
 )
 def test_spectral_csv_rejects_bad_rows(tmp_path, row, match):
     path = tmp_path / "coeffs.csv"
     path.write_text(f"l,m,re,im\n0,0,0.0,0.0\n1,0,1.0,0.0\n{row}\n")
     with pytest.raises(ValueError, match=match):
-        spharm.read_spectral_field(path)
+        spharm.read_spectral_field(path, 4)
 

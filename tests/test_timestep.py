@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphereflow import exact, spharm, timestep
 from sphereflow.timestep import (
@@ -27,6 +28,9 @@ P1 = exact.VortexPairParams(k1=1.0, k2=0.0)
         dict(nu=0.1, dt=1e-3, steps=10, lmax=1),
         dict(nu=0.1, dt=-1e-3, steps=10, lmax=8),
         dict(nu=1.0, dt=0.05, steps=10, lmax=8),  # 0.05*72 = 3.6 > 2.8
+        dict(nu=math.nan, dt=1e-3, steps=10, lmax=8),
+        dict(nu=0.1, dt=math.nan, steps=10, lmax=8),
+        dict(nu=0.0, dt=math.inf, steps=10, lmax=8),
     ],
 )
 def test_config_validation(kwargs):
@@ -90,6 +94,33 @@ def test_bracket_vanishes_for_a_pure_degree_field():
     assert np.max(np.abs(rhs(pure, cfg, plan).coeffs)) <= 1e-15
     mixed = _mix(L, (2, 1, 1.0), (3, 2, 0.7))
     assert np.max(np.abs(rhs(mixed, cfg, plan).coeffs)) > 1e-2
+
+
+def _inviscid_tendency(lmax, seed):
+    """Random zero-mean real omega, its psi, the dealiased inviscid rhs and the
+    bound 1e-12 * sum|rhs| * max|omega| on the conserved quadratic forms."""
+    omega = spharm.random_real_field(lmax, np.random.default_rng(seed))
+    plan = timestep.transform_plan_for(lmax, True)
+    tend = rhs(omega, EvolutionConfig(nu=0.0, dt=1e-3, steps=1, lmax=lmax), plan).coeffs
+    psi = spharm.invert_poisson(omega).coeffs
+    max_omega = np.max(np.abs(spharm.synthesize(omega, plan).values))
+    return omega.coeffs, psi, tend, 1e-12 * np.sum(np.abs(tend)) * max_omega
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=2, max_value=15), st.integers(min_value=0, max_value=2**32 - 1))
+def test_dealiased_bracket_conserves_enstrophy(lmax, seed):
+    # sum conj(omega) * d(omega)/dt = d/dt of the enstrophy, zero for the projected bracket
+    omega, _, tend, bound = _inviscid_tendency(lmax, seed)
+    assert abs(np.sum(np.conj(omega) * tend)) <= bound
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=2, max_value=15), st.integers(min_value=0, max_value=2**32 - 1))
+def test_dealiased_bracket_conserves_energy(lmax, seed):
+    # sum conj(psi) * d(omega)/dt = d/dt of the kinetic energy, zero likewise
+    _, psi, tend, bound = _inviscid_tendency(lmax, seed)
+    assert abs(np.sum(np.conj(psi) * tend)) <= bound
 
 
 def test_rhs_of_zonal_projection_is_pure_viscous():
