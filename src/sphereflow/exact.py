@@ -61,6 +61,12 @@ class VortexPairParams:
     k1: float
     k2: float = 0.0
 
+    def __post_init__(self):
+        for name in ("k1", "k2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
     @property
     def gauss_admissible(self) -> bool:
         """Whether the total vorticity over the sphere vanishes (k2 = 0)."""

@@ -20,6 +20,7 @@ vortex-pair vorticity profile.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -135,31 +136,15 @@ def longitude_derivative(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, _dphi_values(f.values, f.grid.dphi))
 
 
-def colatitude_derivative(f: ScalarField) -> ScalarField:
-    """d f / d theta by three-point stencils (shifted at the end rows)."""
-    return ScalarField(f.grid, _dtheta_values(f.values, f.grid.thetas))
+def velocity_from_streamfunction(psi: ScalarField) -> VelocityField:
+    """Rotated surface gradient of the streamfunction, differentiated on the grid.
 
-
-def velocity_from_streamfunction(psi: ScalarField, method: str = "fd", plan=None) -> VelocityField:
-    """Rotated surface gradient of the streamfunction.
-
-    ``method="fd"`` differentiates on the grid; ``method="spectral"`` expands
-    psi in spherical harmonics first (requires a transform ``plan`` on the
-    same grid) and evaluates exact derivatives of the truncated expansion.
+    Exact derivatives of a truncated spectral expansion come from
+    :func:`sphereflow.spharm.synthesize_gradient` instead.
     """
     g = psi.grid
-    if method == "fd":
-        dpsi_dphi = _dphi_values(psi.values, g.dphi)
-        dpsi_dtheta = _dtheta_values(psi.values, g.thetas)
-    elif method == "spectral":
-        if plan is None:
-            raise ValueError("spectral derivatives need a transform plan")
-        from . import spharm
-
-        coeffs = spharm.analyze(psi, plan)
-        dpsi_dtheta, dpsi_dphi = spharm.synthesize_gradient(coeffs, plan)
-    else:
-        raise ValueError(f"unknown derivative method {method!r}")
+    dpsi_dphi = _dphi_values(psi.values, g.dphi)
+    dpsi_dtheta = _dtheta_values(psi.values, g.thetas)
     s = g.sin_thetas[:, None]
     return VelocityField(grid=g, u_theta=dpsi_dphi / s, u_phi=-dpsi_dtheta)
 
@@ -206,8 +191,8 @@ def ns_residual(psi: ScalarField, omega: ScalarField, nu: float) -> ScalarField:
     A zero field means the pair is a stationary solution at the discrete
     level; nu = 0 gives the inviscid residual.
     """
-    if nu < 0.0:
-        raise ValueError("viscosity must be nonnegative")
+    if not (math.isfinite(nu) and nu >= 0.0):
+        raise ValueError(f"viscosity must be finite and nonnegative, got {nu}")
     g = _require_same_grid(psi, omega)
     adv = jacobian(psi, omega).values / g.sin_thetas[:, None]
     if nu == 0.0:

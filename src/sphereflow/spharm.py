@@ -11,12 +11,20 @@ with eigenvalues -l(l+1), which makes the Poisson inversion of the
 vorticity-streamfunction relation a coefficient division.
 
 Normalized associated Legendre functions are generated with the standard
-forward-stable three-term recurrences.  Every transformed field is real, so
-the transforms work on orders m >= 0 only: one Legendre contraction per
-table and one real FFT (``rfft``/``irfft``) in longitude.  :func:`analyze`
-fills the orders m < 0 from the symmetry above; :func:`synthesize` and
-:func:`synthesize_gradient` never read them, and first check the symmetry
-(raising :class:`SymmetryError`), because ``irfft`` would otherwise drop the
+forward-stable three-term recurrences, each step vectorised over all orders.
+The tables are packed per order: ``plan.plm`` and ``plan.dplm`` hold one row
+per (l, m) with 0 <= m <= l, ordered by m, so order m is one contiguous
+block of rows (see :class:`TransformPlan`).
+
+Every transformed field is real, so the transforms work on orders m >= 0
+only.  Per order they run one real matrix product of the table block with
+the coefficients viewed as float64 (re, im) pairs, and then one real FFT
+(``rfft``/``irfft``) in longitude for every row at once.  The gradients of
+several fields share one pass over each table, which is how the vorticity
+tendency synthesises omega and psi.  :func:`analyze` fills the orders m < 0
+from the symmetry above; :func:`synthesize` and :func:`synthesize_gradient`
+never read them, and first check the symmetry (raising
+:class:`SymmetryError`), because ``irfft`` would otherwise drop the
 imaginary part of a non-real field without a trace.
 """
 
@@ -133,41 +141,58 @@ def is_conjugate_symmetric(c: SpectralField, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(neg - signs[None, :] * np.conj(pos)), initial=0.0) <= tol)
 
 
-def _legendre_tables(thetas: np.ndarray, lmax: int) -> np.ndarray:
-    """Orthonormal Pbar_l^m(cos theta), shape (nlat, lmax+1, lmax+1), m >= 0."""
+def _order_offsets(lmax: int) -> list:
+    """Row offsets of the packed tables: order m occupies rows off[m]:off[m+1]."""
+    return [m * (lmax + 1) - m * (m - 1) // 2 for m in range(lmax + 2)]
+
+
+def _legendre_tables(thetas: np.ndarray, lmax: int):
+    """Packed Pbar_l^m(cos theta) and d/dtheta, each of shape ((L+1)(L+2)/2, nlat).
+
+    Row off[m] + (l - m) holds degree l of order m.  The recurrences run over
+    the diagonal offset k = l - m, each step vectorised over every order.
+    """
     cos_t = np.cos(thetas)
     sin_t = np.sin(thetas)
-    p = np.zeros((thetas.size, lmax + 1, lmax + 1))
-    pmm = np.full(thetas.size, 1.0 / math.sqrt(4.0 * math.pi))
-    for m in range(lmax + 1):
-        if m > 0:
-            pmm = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_t * pmm
-        p[:, m, m] = pmm
-        if m + 1 <= lmax:
-            p[:, m + 1, m] = math.sqrt(2.0 * m + 3.0) * cos_t * pmm
-        for l in range(m + 2, lmax + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            p[:, l, m] = a * (cos_t * p[:, l - 1, m] - b * p[:, l - 2, m])
-    return p
-
-
-def _legendre_dtheta_tables(thetas: np.ndarray, lmax: int, plm: np.ndarray) -> np.ndarray:
-    """d Pbar_l^m / d theta via the degree-lowering relation."""
-    cos_t = np.cos(thetas)[:, None, None]
-    inv_sin = 1.0 / np.sin(thetas)[:, None, None]
-    ls = np.arange(lmax + 1, dtype=np.float64)[None, :, None]
-    dp = ls * cos_t * plm
-    for l in range(1, lmax + 1):
-        for m in range(0, l):
-            c = math.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
-            dp[:, l, m] -= c * plm[:, l - 1, m]
-    return dp * inv_sin
+    off = np.array(_order_offsets(lmax))
+    p = np.empty((off[-1], thetas.size))
+    # k = 0: Pbar_m^m = prod_{j <= m} (-sqrt((2j+1)/(2j)) sin theta) / sqrt(4 pi)
+    j = np.arange(1, lmax + 1, dtype=np.float64)[:, None]
+    factors = np.empty((lmax + 1, thetas.size))
+    factors[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    factors[1:] = -np.sqrt((2.0 * j + 1.0) / (2.0 * j)) * sin_t
+    p[off[:-1]] = np.cumprod(factors, axis=0)
+    m = np.arange(lmax, dtype=np.float64)[:, None]
+    rows = off[:-2] + 1
+    p[rows] = np.sqrt(2.0 * m + 3.0) * cos_t * p[rows - 1]
+    for k in range(2, lmax + 1):
+        m = np.arange(lmax + 1 - k, dtype=np.float64)[:, None]
+        rows = off[: lmax + 1 - k] + k
+        l = m + k
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+        p[rows] = a * (cos_t * p[rows - 1] - b * p[rows - 2])
+    # d/dtheta from the degree-lowering relation against the row above in
+    # the same order block; diagonal rows (l = m) carry c = 0
+    counts = np.diff(off)
+    m = np.repeat(np.arange(lmax + 1, dtype=np.float64), counts)[:, None]
+    l = m + (np.arange(off[-1]) - np.repeat(off[:-1], counts))[:, None]
+    c = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
+    dp = l * cos_t
+    dp *= p
+    dp[1:] -= c[1:] * p[:-1]
+    dp *= 1.0 / sin_t
+    return p, dp
 
 
 @dataclasses.dataclass(frozen=True)
 class TransformPlan:
-    """Immutable Legendre tables bound to one grid and degree bound."""
+    """Immutable packed Legendre tables bound to one grid and degree bound.
+
+    ``plm`` and ``dplm`` have shape ((lmax+1)(lmax+2)/2, nlat), ordered by
+    order m: rows off[m]:off[m+1] hold degrees l = m..lmax of order m, with
+    off[m] = m(lmax+1) - m(m-1)/2.
+    """
 
     grid: Grid
     lmax: int
@@ -179,6 +204,11 @@ class TransformPlan:
             a = np.ascontiguousarray(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    def blocks(self, table: np.ndarray) -> list:
+        """Per-order views table[off[m]:off[m+1]], m = 0..lmax."""
+        off = _order_offsets(self.lmax)
+        return [table[off[m] : off[m + 1]] for m in range(self.lmax + 1)]
 
 
 def build_plan(grid: Grid, lmax: int) -> TransformPlan:
@@ -194,8 +224,7 @@ def build_plan(grid: Grid, lmax: int) -> TransformPlan:
             f"grid {grid.nlat} x {grid.nlon} cannot resolve lmax={lmax}; "
             f"need nlat >= {lmax + 1} and nlon >= {2 * lmax + 1}"
         )
-    plm = _legendre_tables(grid.thetas, lmax)
-    dplm = _legendre_dtheta_tables(grid.thetas, lmax, plm)
+    plm, dplm = _legendre_tables(grid.thetas, lmax)
     return TransformPlan(grid=grid, lmax=lmax, plm=plm, dplm=dplm)
 
 
@@ -220,7 +249,12 @@ def analyze(f: ScalarField, plan: TransformPlan) -> SpectralField:
     _require_plan_grid(f, plan)
     g, L = plan.grid, plan.lmax
     F = np.fft.rfft(f.values, axis=1)[:, : L + 1] * g.dphi  # dphi sum_j f exp(-i m phi_j)
-    a_pos = np.einsum("i,ilm,im->lm", g.weights, plan.plm, F)
+    # weighted spectrum per order as float64 pairs, shape (L+1 [m], nlat, 2)
+    rows = np.ascontiguousarray((g.weights[:, None] * F).T).view(np.float64).reshape(L + 1, -1, 2)
+    out = np.zeros((L + 1, L + 1, 2))  # [m, l, re/im]
+    for m, block in enumerate(plan.blocks(plan.plm)):
+        np.matmul(block, rows[m], out=out[m, m:])
+    a_pos = out.view(np.complex128)[:, :, 0].T
     a_neg = (-1.0) ** np.arange(L + 1) * np.conj(a_pos)
     return SpectralField(L, np.concatenate([a_neg[:, :0:-1], a_pos], axis=1))
 
@@ -236,15 +270,35 @@ def _require_real(c: SpectralField, plan: TransformPlan) -> None:
         )
 
 
-def _order_profiles(c: SpectralField, tables: np.ndarray) -> np.ndarray:
-    """Latitude profiles G_m(theta_i) = sum_l a_{l,m} tables[i, l, m], m = 0..L."""
-    L = c.lmax
-    return np.einsum("ilm,lm->im", tables[:, : L + 1, : L + 1], c.coeffs[:, L:])
+def _order_profiles(fields, plan: TransformPlan, tables) -> np.ndarray:
+    """G_m(theta_i) = sum_l a_{l,m} table[off[m] + l - m, i] for each table and field.
+
+    One real GEMM per order and table serves every field: the coefficients
+    enter as float64 (re, im) pairs.  Returns complex
+    profiles[m, theta, t * len(fields) + k] for table t and field k.
+    """
+    L, nf = plan.lmax, len(fields)
+    cols = np.zeros((L + 1, L + 1, nf), dtype=np.complex128)  # [m, l, field]
+    for k, c in enumerate(fields):
+        cols[: c.lmax + 1, : c.lmax + 1, k] = c.coeffs[:, c.lmax :].T
+    cols = cols.view(np.float64)
+    out = np.empty((L + 1, plan.grid.nlat, len(tables), 2 * nf))  # [m, theta, table, re/im]
+    blocks = [plan.blocks(table) for table in tables]
+    for m in range(L + 1):
+        for t, table_blocks in enumerate(blocks):
+            np.matmul(table_blocks[m].T, cols[m, m:], out=out[m, :, t])
+    return out.view(np.complex128).reshape(L + 1, plan.grid.nlat, len(tables) * nf)
 
 
 def _longitude_synthesis(profiles: np.ndarray, nlon: int) -> np.ndarray:
-    """Real sum over all orders of G_m exp(i m phi_j), with G_{-m} = conj(G_m)."""
-    return np.fft.irfft(profiles, n=nlon, axis=1) * nlon
+    """Real sum over all orders of G_m exp(i m phi_j), with G_{-m} = conj(G_m).
+
+    ``profiles[m, theta, k]`` gives one real field per k, shape (k, nlat, nlon).
+    """
+    M, nlat, k = profiles.shape
+    spectrum = np.zeros((k, nlat, nlon // 2 + 1), dtype=np.complex128)
+    spectrum[:, :, :M] = profiles.transpose(2, 1, 0)
+    return np.fft.irfft(spectrum, n=nlon, axis=-1, norm="forward")
 
 
 def synthesize(c: SpectralField, plan: TransformPlan) -> ScalarField:
@@ -255,8 +309,24 @@ def synthesize(c: SpectralField, plan: TransformPlan) -> ScalarField:
     :class:`SymmetryError`.
     """
     _require_real(c, plan)
-    profiles = _order_profiles(c, plan.plm)
-    return ScalarField(plan.grid, _longitude_synthesis(profiles, plan.grid.nlon))
+    profiles = _order_profiles([c], plan, (plan.plm,))
+    return ScalarField(plan.grid, _longitude_synthesis(profiles, plan.grid.nlon)[0])
+
+
+def _synthesize_gradients(fields, plan: TransformPlan) -> np.ndarray:
+    """(df/dtheta, df/dphi) of every field, with one pass over each table.
+
+    Returns shape (2, len(fields), nlat, nlon): index 0 holds the theta
+    derivatives, index 1 the phi derivatives.  The symmetry requirement of
+    :func:`synthesize` applies to each field.
+    """
+    for c in fields:
+        _require_real(c, plan)
+    nf = len(fields)
+    profiles = _order_profiles(fields, plan, (plan.dplm, plan.plm))
+    profiles[:, :, nf:] *= 1j * np.arange(plan.lmax + 1)[:, None, None]
+    values = _longitude_synthesis(profiles, plan.grid.nlon)
+    return values.reshape(2, nf, plan.grid.nlat, plan.grid.nlon)
 
 
 def synthesize_gradient(c: SpectralField, plan: TransformPlan):
@@ -264,11 +334,7 @@ def synthesize_gradient(c: SpectralField, plan: TransformPlan):
 
     The symmetry requirement of :func:`synthesize` applies.
     """
-    _require_real(c, plan)
-    nlon = plan.grid.nlon
-    d_theta = _longitude_synthesis(_order_profiles(c, plan.dplm), nlon)
-    profiles = _order_profiles(c, plan.plm)
-    d_phi = _longitude_synthesis(1j * np.arange(c.lmax + 1) * profiles, nlon)
+    d_theta, d_phi = _synthesize_gradients([c], plan)[:, 0]
     return d_theta, d_phi
 
 

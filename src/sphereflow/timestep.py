@@ -114,8 +114,7 @@ def _advection_coeffs(omega: spharm.SpectralField, plan: spharm.TransformPlan) -
     """
     L = plan.lmax
     psi = spharm.invert_poisson(omega)
-    om_t, om_p = spharm.synthesize_gradient(omega, plan)
-    ps_t, ps_p = spharm.synthesize_gradient(psi, plan)
+    (om_t, ps_t), (om_p, ps_p) = spharm._synthesize_gradients([omega, psi], plan)
     s = plan.grid.sin_thetas[:, None]
     bracket = (ps_p / s) * om_t - ps_t * (om_p / s)
     field = spharm.analyze(ScalarField(plan.grid, bracket), plan)

