@@ -10,6 +10,12 @@ two-thirds (transform-grid) dealiasing the projected bracket integrals are
 exact, so the inviscid semi-discrete system conserves energy and enstrophy
 up to time-integration error.  The viscous term is exact in coefficients.
 
+A zonal state (every order m >= 1 exactly zero) skips the bracket
+transforms: both phi-derivatives vanish, so the transform path would return
+exact zeros, and RK4 keeps zonal stages zonal.  Transform plans are cached
+per (lmax, dealias), at most :data:`PLAN_CACHE_SIZE` per process (about
+25 MB of Legendre tables each at lmax 127).
+
 Used here mainly to demonstrate that the vortex-pair flow is steady: its
 spectral truncation is zonal, the bracket vanishes identically, and the only
 drift source is viscosity acting on the truncated pole singularities.
@@ -18,6 +24,7 @@ drift source is viscosity acting on the truncated pole singularities.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -89,12 +96,19 @@ def _next_pow2(n: int) -> int:
     return 1 << max(3, (n - 1).bit_length())
 
 
+#: Transform plans kept per process: room for a sweep over three truncations and one more.
+PLAN_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def transform_plan_for(lmax: int, dealias: bool) -> spharm.TransformPlan:
     """Gauss-Legendre transform grid sized for the quadratic nonlinearity.
 
     Dealiased runs use the 3/2-rule grid (quadrature exact through triple
     products of degree lmax); nlon is rounded up to a power of two, which
     also keeps the longitude FFT of zonal fields exactly zero off the mean.
+    Plans are cached per ``(lmax, dealias)``: a plan and its grid are frozen
+    with read-only arrays, so every caller can share one.
     """
     if dealias:
         nlat = (3 * lmax) // 2 + 2
@@ -110,10 +124,18 @@ def _advection_coeffs(omega: spharm.SpectralField, plan: spharm.TransformPlan) -
     """Spectral image of (1/sin) J(psi, omega).
 
     Raises :class:`~sphereflow.spharm.GaussConstraintError` through
-    :func:`~sphereflow.spharm.invert_poisson` when the mean vorticity is nonzero.
+    :func:`~sphereflow.spharm.invert_poisson` when the mean vorticity is nonzero,
+    and :class:`~sphereflow.spharm.SymmetryError` for a field that is not real.
+    A zonal omega (every order m >= 1 exactly zero) returns zeros without
+    transforming: both phi-derivatives vanish, so the bracket is exactly zero.
     """
     L = plan.lmax
     psi = spharm.invert_poisson(omega)
+    if not omega.coeffs[:, L + 1 :].any():
+        # the transform path runs these checks itself
+        spharm._require_real(omega, plan)
+        spharm._require_real(psi, plan)
+        return np.zeros_like(omega.coeffs)
     (om_t, ps_t), (om_p, ps_p) = spharm._synthesize_gradients([omega, psi], plan)
     s = plan.grid.sin_thetas[:, None]
     bracket = (ps_p / s) * om_t - ps_t * (om_p / s)
@@ -226,8 +248,10 @@ def steadiness_drift(
     """
     if p.k2 != 0.0:
         raise ValueError("only the k2 = 0 family is admissible on the sphere")
-    if t_final < 0.0:
-        raise ValueError("t_final must be nonnegative")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
+    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if t_final == 0.0:
         return 0.0
     if dt is None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphereflow import exact, spharm, timestep
+from sphereflow.grid import ScalarField
 from sphereflow.timestep import (
     EvolutionConfig,
     InstabilityError,
@@ -137,6 +138,113 @@ def test_rhs_of_zonal_projection_is_pure_viscous():
     assert np.max(np.abs(tend.coeffs - expected)) <= 1e-15 * scale
 
 
+def _transform_bracket(omega, plan):
+    """The advection bracket through the full transform path, skipping no work."""
+    psi = spharm.invert_poisson(omega)
+    (om_t, ps_t), (om_p, ps_p) = spharm._synthesize_gradients([omega, psi], plan)
+    s = plan.grid.sin_thetas[:, None]
+    bracket = (ps_p / s) * om_t - ps_t * (om_p / s)
+    out = np.array(spharm.analyze(ScalarField(plan.grid, bracket), plan).coeffs)
+    out[0, plan.lmax] = 0.0
+    return out
+
+
+def _random_zonal(lmax, seed):
+    c = np.array(spharm.random_real_field(lmax, np.random.default_rng(seed)).coeffs)
+    c[:, :lmax] = 0.0
+    c[:, lmax + 1 :] = 0.0
+    return spharm.SpectralField(lmax, c)
+
+
+@pytest.fixture
+def count_transforms(monkeypatch):
+    calls = []
+    real = spharm._synthesize_gradients
+
+    def counted(fields, plan):
+        calls.append(plan.lmax)
+        return real(fields, plan)
+
+    monkeypatch.setattr(spharm, "_synthesize_gradients", counted)
+    return calls
+
+
+ZONAL_CASES = [("pair", L, d) for L in (15, 31, 63) for d in (True, False)] + [("random", 20, True)]
+
+
+@pytest.mark.parametrize("kind,lmax,dealias", ZONAL_CASES)
+def test_zonal_shortcut_equals_transform_path(kind, lmax, dealias, count_transforms):
+    if kind == "pair":
+        omega, plan = timestep.project_vortex_pair(P1, lmax, dealias)
+    else:
+        omega, plan = _random_zonal(lmax, 5), timestep.transform_plan_for(lmax, dealias)
+    full = _transform_bracket(omega, plan)
+    assert not full.any()
+    del count_transforms[:]
+    short = timestep._advection_coeffs(omega, plan)
+    assert count_transforms == []
+    assert np.array_equal(short, full)
+
+
+def test_near_zonal_field_takes_transform_path(count_transforms):
+    L = 20
+    plan = timestep.transform_plan_for(L, True)
+    omega = _random_zonal(L, 5)
+    omega = spharm.SpectralField(L, omega.coeffs + 1e-3 * spharm.real_single_mode(L, 3, 1).coeffs)
+    got = timestep._advection_coeffs(omega, plan)
+    assert count_transforms == [L]
+    assert np.max(np.abs(got)) > 1e-6
+    assert np.array_equal(got, _transform_bracket(omega, plan))
+
+
+@pytest.mark.parametrize("entry", [rhs, evolve], ids=["rhs", "evolve"])
+def test_zonal_shortcut_keeps_symmetry_check(entry):
+    cfg = EvolutionConfig(nu=0.01, dt=1e-3, steps=1, lmax=8)
+    omega = spharm.with_coeff(_random_zonal(8, 2), 2, 0, 1.0 + 1.0j)
+    with pytest.raises(spharm.SymmetryError):
+        entry(omega, cfg)
+
+
+def test_zonal_evolve_never_transforms_the_bracket(count_transforms):
+    cfg = EvolutionConfig(nu=0.01, dt=5e-3, steps=4, lmax=15)
+    evolve(timestep.project_vortex_pair(P1, 15)[0], cfg)
+    assert count_transforms == []
+
+
+def test_plan_cache_shares_one_plan_per_key():
+    plan = timestep.transform_plan_for(15, True)
+    assert timestep.transform_plan_for(15, True) is plan
+    others = [timestep.transform_plan_for(15, False), timestep.transform_plan_for(16, True)]
+    assert all(o is not plan for o in others)
+    assert others[0] is not others[1]
+
+
+def test_shared_plan_is_read_only():
+    plan = timestep.transform_plan_for(15, True)
+    with pytest.raises(ValueError):
+        plan.plm[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        plan.grid.thetas[0] = 1.0
+
+
+def _series_bytes(omega, cfg, path):
+    write_time_series(evolve(omega, cfg), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("zonal", [False, True], ids=["random", "zonal"])
+def test_evolve_same_from_cold_and_warm_cache(tmp_path, zonal):
+    L = 12
+    omega = _random_zonal(L, 9) if zonal else spharm.random_real_field(L, np.random.default_rng(9))
+    cfg = EvolutionConfig(nu=0.01, dt=5e-3, steps=10, lmax=L)
+    timestep.transform_plan_for.cache_clear()
+    cold = _series_bytes(omega, cfg, tmp_path / "cold.csv")
+    assert timestep.transform_plan_for.cache_info().currsize == 1
+    warm = _series_bytes(omega, cfg, tmp_path / "warm.csv")
+    assert timestep.transform_plan_for.cache_info().hits >= 1
+    assert cold == warm
+
+
 def test_evolve_zero_initial_condition():
     cfg = EvolutionConfig(nu=0.1, dt=1e-2, steps=5, lmax=4)
     series = evolve(spharm.zeros(4), cfg)
@@ -207,6 +315,21 @@ def test_drift_shrinks_with_truncation_degree():
 
 def test_steadiness_drift_zero_horizon():
     assert steadiness_drift(P1, 31, nu=0.01, t_final=0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "t_final,dt,name",
+    [
+        (1.0, -1.0, "dt"),
+        (1.0, math.inf, "dt"),
+        (1.0, 0.0, "dt"),
+        (math.inf, None, "t_final"),
+        (math.nan, None, "t_final"),
+    ],
+)
+def test_steadiness_drift_validates_horizon_and_step(t_final, dt, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        steadiness_drift(P1, 15, nu=0.01, t_final=t_final, dt=dt)
 
 
 def test_steadiness_drift_rejects_offset_family():
