@@ -38,7 +38,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import spence
 
 from .grid import Grid, ScalarField
@@ -52,6 +51,9 @@ _SERIES_THRESHOLD = 1e-4
 # q = 1/8 the 20-term truncation error is below 1e-20 relative
 _DILOG_SERIES_Q = 0.125
 _DILOG_SERIES_TERMS = 20
+
+#: Catalan's constant G = sum_k (-1)^k / (2k+1)^2.
+CATALAN = 0.91596559417721901505
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,20 +164,20 @@ def hemisphere_vorticity_integral(
     With the area element sin(theta) dtheta dphi (the default) the north and
     south values are -+ 2*pi*log(2) * k1 + 2*pi*k2 and always sum to the total
     4*pi*k2.  ``area_element=False`` integrates the bare dtheta dphi measure
-    instead, which changes the k1 part to -+ 4*pi*G (Catalan's constant).
+    instead, which changes the k1 part to -+ 4*pi*G (Catalan's constant)
+    and the k2 part to pi^2 * k2.  Both are closed forms:
+    int_0^{pi/2} log tan(t/2) sin t dt = -log 2 and
+    int_0^{pi/2} log tan(t/2) dt = -2G, and the south half flips their sign.
     """
     if hemisphere == "north":
-        lo, hi = 0.0, 0.5 * np.pi
+        sign = -1.0
     elif hemisphere == "south":
-        lo, hi = 0.5 * np.pi, np.pi
+        sign = 1.0
     else:
         raise ValueError(f"hemisphere must be 'north' or 'south', got {hemisphere!r}")
     if area_element:
-        profile = lambda t: (p.k1 * math.log(math.tan(0.5 * t)) + p.k2) * math.sin(t)
-    else:
-        profile = lambda t: p.k1 * math.log(math.tan(0.5 * t)) + p.k2
-    value, _ = quad(profile, lo, hi, limit=400)
-    return 2.0 * np.pi * value
+        return 2.0 * math.pi * (sign * math.log(2.0) * p.k1 + p.k2)
+    return sign * 4.0 * math.pi * CATALAN * p.k1 + math.pi**2 * p.k2
 
 
 def gradient_modulus_function(omega, p: VortexPairParams):

@@ -6,9 +6,14 @@ The basis is orthonormal over the sphere with the Condon-Shortley phase:
     int |Y_l^m|^2 dA = 1,    Y_l^{-m} = (-1)^m conj(Y_l^m).
 
 Coefficients of a real field therefore satisfy
-a_{l,-m} = (-1)^m conj(a_{l,m}).  The Laplace-Beltrami operator is diagonal
-with eigenvalues -l(l+1), which makes the Poisson inversion of the
-vorticity-streamfunction relation a coefficient division.
+a_{l,-m} = (-1)^m conj(a_{l,m}), so a :class:`SpectralField` stores the
+orders m >= 0 only, and the one constraint left, a real a_{l,0}, is checked
+when the field is built (raising :class:`SymmetryError`).  The orders m < 0
+exist only in the ``l,m,re,im`` CSV: the writer emits them from the
+symmetry, and the reader checks every m < 0 row against its m > 0 partner.
+The Laplace-Beltrami operator is diagonal with eigenvalues -l(l+1), which
+makes the Poisson inversion of the vorticity-streamfunction relation a
+coefficient division.
 
 Normalized associated Legendre functions are generated with the standard
 forward-stable three-term recurrences, each step vectorised over all orders.
@@ -16,16 +21,11 @@ The tables are packed per order: ``plan.plm`` and ``plan.dplm`` hold one row
 per (l, m) with 0 <= m <= l, ordered by m, so order m is one contiguous
 block of rows (see :class:`TransformPlan`).
 
-Every transformed field is real, so the transforms work on orders m >= 0
-only.  Per order they run one real matrix product of the table block with
+Per order the transforms run one real matrix product of the table block with
 the coefficients viewed as float64 (re, im) pairs, and then one real FFT
 (``rfft``/``irfft``) in longitude for every row at once.  The gradients of
 several fields share one pass over each table, which is how the vorticity
-tendency synthesises omega and psi.  :func:`analyze` fills the orders m < 0
-from the symmetry above; :func:`synthesize` and :func:`synthesize_gradient`
-never read them, and first check the symmetry (raising
-:class:`SymmetryError`), because ``irfft`` would otherwise drop the
-imaginary part of a non-real field without a trace.
+tendency synthesises omega and psi.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ from .grid import Grid, ScalarField
 #: Relative bound on the mean vorticity accepted by :func:`invert_poisson`.
 GAUSS_CONSTRAINT_RTOL = 1e-10
 
+#: Relative bound on the departure from a real field: 2 |Im a_{l,0}| in a
+#: :class:`SpectralField`, and |a_{l,-m} - (-1)^m conj(a_{l,m})| in a CSV.
+SYMMETRY_RTOL = 1e-10
+
 
 class GaussConstraintError(ValueError):
     """Raised when a field that must have zero mean vorticity does not."""
@@ -52,10 +56,13 @@ class SymmetryError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class SpectralField:
-    """Spherical-harmonic coefficients a_{l,m} for 0 <= l <= lmax, |m| <= l.
+    """Coefficients a_{l,m} of a real field for 0 <= m <= l <= lmax.
 
-    ``coeffs`` has shape (lmax+1, 2*lmax+1); column lmax + m holds order m.
-    Entries with |m| > l must be zero.
+    ``coeffs`` has shape (lmax+1, lmax+1); column m holds order m, and
+    entries with m > l must be zero.  The orders m < 0 are not stored:
+    a_{l,-m} = (-1)^m conj(a_{l,m}).  A field whose a_{l,0} are not real, by
+    more than ``SYMMETRY_RTOL * max(1, l2_norm)`` in 2 |Im a_{l,0}|, raises
+    :class:`SymmetryError`.
     """
 
     lmax: int
@@ -65,80 +72,60 @@ class SpectralField:
         c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        if self.lmax < 0 or c.shape != (self.lmax + 1, 2 * self.lmax + 1):
+        if self.lmax < 0 or c.shape != (self.lmax + 1, self.lmax + 1):
             raise ValueError(
                 f"coefficient array shape {c.shape} does not match lmax={self.lmax}"
             )
-        ls = np.arange(self.lmax + 1)[:, None]
-        ms = np.arange(-self.lmax, self.lmax + 1)[None, :]
-        bad = np.abs(c[np.abs(ms) > ls])
-        if bad.size and float(bad.max()) != 0.0:
-            raise ValueError("coefficients with |m| > l must be zero")
+        if np.triu(c, 1).any():
+            raise ValueError("coefficients with m > l must be zero")
+        zonal_im = c[:, 0].imag
+        if zonal_im.any():
+            tol = SYMMETRY_RTOL * max(1.0, l2_norm(self))
+            if 2.0 * float(np.max(np.abs(zonal_im))) > tol:
+                raise SymmetryError(
+                    f"Im a_(l,0) exceeds {0.5 * tol:.3e}; "
+                    "coefficients do not describe a real field"
+                )
 
 
 def zeros(lmax: int) -> SpectralField:
-    return SpectralField(lmax, np.zeros((lmax + 1, 2 * lmax + 1), dtype=np.complex128))
-
-
-def coeff(c: SpectralField, l: int, m: int) -> complex:
-    """Single coefficient a_{l,m}."""
-    if not (0 <= l <= c.lmax and abs(m) <= l):
-        raise ValueError(f"(l={l}, m={m}) outside the truncation")
-    return complex(c.coeffs[l, c.lmax + m])
-
-
-def with_coeff(c: SpectralField, l: int, m: int, value: complex) -> SpectralField:
-    """Copy of ``c`` with a_{l,m} replaced."""
-    if not (0 <= l <= c.lmax and abs(m) <= l):
-        raise ValueError(f"(l={l}, m={m}) outside the truncation")
-    arr = np.array(c.coeffs)
-    arr[l, c.lmax + m] = value
-    return SpectralField(c.lmax, arr)
+    return SpectralField(lmax, np.zeros((lmax + 1, lmax + 1), dtype=np.complex128))
 
 
 def real_single_mode(lmax: int, l: int, m: int, amplitude: float = 1.0) -> SpectralField:
     """Real field concentrated in degree l, |order| m, with unit L2 norm per unit amplitude."""
-    arr = np.zeros((lmax + 1, 2 * lmax + 1), dtype=np.complex128)
+    arr = np.zeros((lmax + 1, lmax + 1), dtype=np.complex128)
     if not (0 <= l <= lmax and abs(m) <= l):
         raise ValueError(f"(l={l}, m={m}) outside the truncation")
-    if m == 0:
-        arr[l, lmax] = amplitude
-    else:
-        m = abs(m)
-        arr[l, lmax + m] = amplitude / math.sqrt(2.0)
-        arr[l, lmax - m] = (-1) ** m * amplitude / math.sqrt(2.0)
+    arr[l, abs(m)] = amplitude if m == 0 else amplitude / math.sqrt(2.0)
     return SpectralField(lmax, arr)
 
 
 def random_real_field(lmax: int, rng: np.random.Generator, zero_mean: bool = True) -> SpectralField:
-    """Random coefficients with the conjugate symmetry of a real field."""
-    arr = np.zeros((lmax + 1, 2 * lmax + 1), dtype=np.complex128)
+    """Random coefficients of a real field: real a_{l,0}, complex a_{l,m} for m >= 1."""
+    arr = np.zeros((lmax + 1, lmax + 1), dtype=np.complex128)
     for l in range(lmax + 1):
-        arr[l, lmax] = rng.standard_normal()
+        arr[l, 0] = rng.standard_normal()
         for m in range(1, l + 1):
-            z = rng.standard_normal() + 1j * rng.standard_normal()
-            arr[l, lmax + m] = z
-            arr[l, lmax - m] = (-1) ** m * np.conj(z)
+            arr[l, m] = rng.standard_normal() + 1j * rng.standard_normal()
     if zero_mean:
-        arr[0, lmax] = 0.0
+        arr[0, 0] = 0.0
     return SpectralField(lmax, arr)
 
 
-def l2_norm(c: SpectralField) -> float:
-    return float(np.sqrt(np.sum(np.abs(c.coeffs) ** 2)))
+def power(c: SpectralField) -> np.ndarray:
+    """|a_{l,m}|^2 + |a_{l,-m}|^2 per stored (l, m): weight 1 for m = 0, 2 for m >= 1.
 
-
-def is_conjugate_symmetric(c: SpectralField, tol: float = 1e-12) -> bool:
-    """Check a_{l,-m} == (-1)^m conj(a_{l,m}) to within ``tol`` (absolute).
-
-    The orders m = 0 are included, where the relation reads
-    2 |Im a_{l,0}| <= tol.
+    Its sum runs over every order -l..l, so int f^2 dA = power(c).sum().
     """
-    L = c.lmax
-    signs = (-1.0) ** np.arange(L + 1)
-    neg = c.coeffs[:, L::-1]  # m = 0, -1, ..., -L
-    pos = c.coeffs[:, L:]
-    return bool(np.max(np.abs(neg - signs[None, :] * np.conj(pos)), initial=0.0) <= tol)
+    w = np.full(c.lmax + 1, 2.0)
+    w[0] = 1.0
+    return w * np.abs(c.coeffs) ** 2
+
+
+def l2_norm(c: SpectralField) -> float:
+    """L2 norm of the field over the sphere, counting the unstored orders m < 0."""
+    return float(np.sqrt(np.sum(power(c))))
 
 
 def _order_offsets(lmax: int) -> list:
@@ -241,10 +228,9 @@ def _require_plan_grid(f: ScalarField, plan: TransformPlan) -> None:
 def analyze(f: ScalarField, plan: TransformPlan) -> SpectralField:
     """Project a real field onto the orthonormal basis by quadrature.
 
-    a_{l,m} = sum_i w_i dphi sum_j f(theta_i, phi_j) conj(Y_l^m) for m >= 0;
-    the orders m < 0 are set to (-1)^m conj(a_{l,m}), so the result is
-    conjugate-symmetric by construction.  Exact for band-limited fields on
-    Gauss-Legendre grids resolving the truncation.
+    a_{l,m} = sum_i w_i dphi sum_j f(theta_i, phi_j) conj(Y_l^m) for m >= 0.
+    Exact for band-limited fields on Gauss-Legendre grids resolving the
+    truncation.  The rfft keeps Im a_{l,0} exactly zero.
     """
     _require_plan_grid(f, plan)
     g, L = plan.grid, plan.lmax
@@ -254,20 +240,7 @@ def analyze(f: ScalarField, plan: TransformPlan) -> SpectralField:
     out = np.zeros((L + 1, L + 1, 2))  # [m, l, re/im]
     for m, block in enumerate(plan.blocks(plan.plm)):
         np.matmul(block, rows[m], out=out[m, m:])
-    a_pos = out.view(np.complex128)[:, :, 0].T
-    a_neg = (-1.0) ** np.arange(L + 1) * np.conj(a_pos)
-    return SpectralField(L, np.concatenate([a_neg[:, :0:-1], a_pos], axis=1))
-
-
-def _require_real(c: SpectralField, plan: TransformPlan) -> None:
-    if c.lmax > plan.lmax:
-        raise ValueError(f"plan resolves lmax={plan.lmax} < field lmax={c.lmax}")
-    tol = 1e-10 * max(1.0, l2_norm(c))
-    if not is_conjugate_symmetric(c, tol):
-        raise SymmetryError(
-            f"a_(l,-m) differs from (-1)^m conj(a_(l,m)) by more than {tol:.3e}; "
-            "coefficients do not describe a real field"
-        )
+    return SpectralField(L, out.view(np.complex128)[:, :, 0].T)
 
 
 def _order_profiles(fields, plan: TransformPlan, tables) -> np.ndarray:
@@ -280,7 +253,9 @@ def _order_profiles(fields, plan: TransformPlan, tables) -> np.ndarray:
     L, nf = plan.lmax, len(fields)
     cols = np.zeros((L + 1, L + 1, nf), dtype=np.complex128)  # [m, l, field]
     for k, c in enumerate(fields):
-        cols[: c.lmax + 1, : c.lmax + 1, k] = c.coeffs[:, c.lmax :].T
+        if c.lmax > L:
+            raise ValueError(f"plan resolves lmax={L} < field lmax={c.lmax}")
+        cols[: c.lmax + 1, : c.lmax + 1, k] = c.coeffs.T
     cols = cols.view(np.float64)
     out = np.empty((L + 1, plan.grid.nlat, len(tables), 2 * nf))  # [m, theta, table, re/im]
     blocks = [plan.blocks(table) for table in tables]
@@ -302,13 +277,7 @@ def _longitude_synthesis(profiles: np.ndarray, nlon: int) -> np.ndarray:
 
 
 def synthesize(c: SpectralField, plan: TransformPlan) -> ScalarField:
-    """Evaluate sum a_{l,m} Y_l^m on the plan's grid as a real field.
-
-    Coefficients that break a_{l,-m} = (-1)^m conj(a_{l,m}) by more than
-    1e-10 * max(1, ||a||_2) do not describe a real field and raise
-    :class:`SymmetryError`.
-    """
-    _require_real(c, plan)
+    """Evaluate sum a_{l,m} Y_l^m over all orders -l..l on the plan's grid."""
     profiles = _order_profiles([c], plan, (plan.plm,))
     return ScalarField(plan.grid, _longitude_synthesis(profiles, plan.grid.nlon)[0])
 
@@ -317,11 +286,8 @@ def _synthesize_gradients(fields, plan: TransformPlan) -> np.ndarray:
     """(df/dtheta, df/dphi) of every field, with one pass over each table.
 
     Returns shape (2, len(fields), nlat, nlon): index 0 holds the theta
-    derivatives, index 1 the phi derivatives.  The symmetry requirement of
-    :func:`synthesize` applies to each field.
+    derivatives, index 1 the phi derivatives.
     """
-    for c in fields:
-        _require_real(c, plan)
     nf = len(fields)
     profiles = _order_profiles(fields, plan, (plan.dplm, plan.plm))
     profiles[:, :, nf:] *= 1j * np.arange(plan.lmax + 1)[:, None, None]
@@ -330,10 +296,7 @@ def _synthesize_gradients(fields, plan: TransformPlan) -> np.ndarray:
 
 
 def synthesize_gradient(c: SpectralField, plan: TransformPlan):
-    """Pointwise (df/dtheta, df/dphi) of the truncated expansion, as real arrays.
-
-    The symmetry requirement of :func:`synthesize` applies.
-    """
+    """Pointwise (df/dtheta, df/dphi) of the truncated expansion, as real arrays."""
     d_theta, d_phi = _synthesize_gradients([c], plan)[:, 0]
     return d_theta, d_phi
 
@@ -360,7 +323,7 @@ def invert_poisson(omega: SpectralField) -> SpectralField:
     within ``GAUSS_CONSTRAINT_RTOL`` times the coefficient norm.
     """
     L = omega.lmax
-    mean = abs(complex(omega.coeffs[0, L]))
+    mean = abs(complex(omega.coeffs[0, 0]))
     if mean > GAUSS_CONSTRAINT_RTOL * max(l2_norm(omega), np.finfo(float).tiny):
         raise GaussConstraintError(
             f"mean vorticity {mean:.3e} violates the zero-total-vorticity constraint"
@@ -373,11 +336,15 @@ def invert_poisson(omega: SpectralField) -> SpectralField:
 
 
 def write_spectral_field(c: SpectralField, path) -> None:
-    """CSV serialization with header l,m,re,im, one row per retained (l, m)."""
+    """CSV serialization with header l,m,re,im, one row per (l, m) with |m| <= l.
+
+    The unstored orders m < 0 are written as (-1)^m conj(a_{l,m}).
+    """
+    neg = (-1.0) ** np.arange(c.lmax + 1) * np.conj(c.coeffs)
     lines = ["l,m,re,im"]
     for l in range(c.lmax + 1):
         for m in range(-l, l + 1):
-            z = c.coeffs[l, c.lmax + m]
+            z = c.coeffs[l, m] if m >= 0 else neg[l, -m]
             lines.append(f"{l},{m},{z.real:.17g},{z.imag:.17g}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -390,8 +357,16 @@ def read_spectral_field(path, lmax: int) -> SpectralField:
     |m| <= l <= lmax, a finite coefficient and an (l, m) pair no earlier row
     used; any other row raises ValueError naming its line, before anything
     is allocated for its degree.  Pairs absent from the file are zero.
+
+    The file must describe a real field: each a_{l,-m} must equal
+    (-1)^m conj(a_{l,m}), a missing row counting as zero, and each a_{l,0}
+    must be real, to within ``SYMMETRY_RTOL * max(1, ||a||_2)`` with the
+    norm taken over the file.  A pair that is not raises
+    :class:`SymmetryError` naming the line of its m < 0 row (or of its
+    m >= 0 row when the m < 0 row is missing).
     """
-    arr = np.zeros((lmax + 1, 2 * lmax + 1), dtype=np.complex128)
+    # a_{l,m} at [0, l, m] and a_{l,-m} at [1, l, m]
+    arr = np.zeros((2, lmax + 1, lmax + 1), dtype=np.complex128)
     first_line = {}
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -420,7 +395,21 @@ def read_spectral_field(path, lmax: int) -> SpectralField:
                     f"{where}: duplicate (l={l}, m={m}), first given on line {first_line[l, m]}"
                 )
             first_line[l, m] = lineno
-            arr[l, lmax + m] = z
+            arr[int(m < 0), l, abs(m)] = z
     if not first_line:
         raise ValueError(f"no coefficients in {path}")
-    return SpectralField(lmax, arr)
+    tol = SYMMETRY_RTOL * max(1.0, float(np.sqrt(np.sum(np.abs(arr) ** 2))))
+    pos, neg = arr
+    neg[:, 0] = pos[:, 0]  # order 0 pairs with itself: the residue is 2 |Im a_{l,0}|
+    residue = np.abs(neg - (-1.0) ** np.arange(lmax + 1) * np.conj(pos))
+    if np.max(residue) > tol:
+        lineno, l, m = min(
+            (first_line.get((l, -m), first_line.get((l, m))), l, m)
+            for l, m in np.argwhere(residue > tol).tolist()
+        )
+        raise SymmetryError(
+            f"{path} line {lineno}: a_(l={l},m={-m}) differs from (-1)^m conj(a_(l={l},m={m})) "
+            f"by {residue[l, m]:.3e} > {tol:.3e} (a missing row counts as zero); "
+            "coefficients do not describe a real field"
+        )
+    return SpectralField(lmax, pos)

@@ -124,24 +124,19 @@ def _advection_coeffs(omega: spharm.SpectralField, plan: spharm.TransformPlan) -
     """Spectral image of (1/sin) J(psi, omega).
 
     Raises :class:`~sphereflow.spharm.GaussConstraintError` through
-    :func:`~sphereflow.spharm.invert_poisson` when the mean vorticity is nonzero,
-    and :class:`~sphereflow.spharm.SymmetryError` for a field that is not real.
+    :func:`~sphereflow.spharm.invert_poisson` when the mean vorticity is nonzero.
     A zonal omega (every order m >= 1 exactly zero) returns zeros without
     transforming: both phi-derivatives vanish, so the bracket is exactly zero.
     """
-    L = plan.lmax
     psi = spharm.invert_poisson(omega)
-    if not omega.coeffs[:, L + 1 :].any():
-        # the transform path runs these checks itself
-        spharm._require_real(omega, plan)
-        spharm._require_real(psi, plan)
+    if not omega.coeffs[:, 1:].any():
         return np.zeros_like(omega.coeffs)
     (om_t, ps_t), (om_p, ps_p) = spharm._synthesize_gradients([omega, psi], plan)
     s = plan.grid.sin_thetas[:, None]
     bracket = (ps_p / s) * om_t - ps_t * (om_p / s)
     field = spharm.analyze(ScalarField(plan.grid, bracket), plan)
     out = np.array(field.coeffs)
-    out[0, L] = 0.0  # the mean is exactly conserved by advection
+    out[0, 0] = 0.0  # the mean is exactly conserved by advection
     return out
 
 
@@ -165,10 +160,10 @@ def rhs(
     return spharm.SpectralField(plan.lmax, tend)
 
 
-def _energy_enstrophy(coeffs: np.ndarray, lmax: int):
-    power = np.abs(coeffs) ** 2
-    inv = np.zeros(lmax + 1)
-    inv[1:] = 1.0 / -spharm.laplacian_eigenvalues(lmax)[1:, 0]
+def _energy_enstrophy(omega: spharm.SpectralField):
+    power = spharm.power(omega)
+    inv = np.zeros(omega.lmax + 1)
+    inv[1:] = 1.0 / -spharm.laplacian_eigenvalues(omega.lmax)[1:, 0]
     energy = 0.5 * float(inv @ power.sum(axis=1))
     enstrophy = 0.5 * float(power.sum())
     return energy, enstrophy
@@ -199,7 +194,7 @@ def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
     initial_max = float(np.max(np.abs(values0)))
 
     def record(k: int, omega: spharm.SpectralField) -> None:
-        energy[k], enstrophy[k] = _energy_enstrophy(omega.coeffs, cfg.lmax)
+        energy[k], enstrophy[k] = _energy_enstrophy(omega)
         values = spharm.synthesize(omega, plan).values
         max_omega[k] = float(np.max(np.abs(values)))
         drift[k] = float(np.max(np.abs((values - values0)[band, :])))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sphereflow import grid as sgrid
+from sphereflow import spharm
 
 
 def fit_order(errors, refinement=2.0):
@@ -21,6 +22,33 @@ def band_max(field, lo=sgrid.DEFAULT_BAND[0], hi=sgrid.DEFAULT_BAND[1]):
 
 def zonal_field(grid, profile):
     return sgrid.ScalarField(grid, np.repeat(np.asarray(profile)[:, None], grid.nlon, axis=1))
+
+
+def _check_stored(c, l, m):
+    if not (0 <= m <= l <= c.lmax):
+        raise ValueError(f"(l={l}, m={m}) is not a stored order 0 <= m <= l <= {c.lmax}")
+
+
+def coeff(c, l, m):
+    """Stored coefficient a_{l,m}, 0 <= m <= l."""
+    _check_stored(c, l, m)
+    return complex(c.coeffs[l, m])
+
+
+def with_coeff(c, l, m, value):
+    """Copy of ``c`` with the stored a_{l,m}, 0 <= m <= l, replaced."""
+    _check_stored(c, l, m)
+    arr = np.array(c.coeffs)
+    arr[l, m] = value
+    return spharm.SpectralField(c.lmax, arr)
+
+
+def order_weights(lmax):
+    """1 for m = 0 and 2 for m >= 1: a sum over the stored m >= 0 with these
+    weights equals the sum over all orders -l..l of a real field."""
+    w = np.full(lmax + 1, 2.0)
+    w[0] = 1.0
+    return w
 
 
 @pytest.fixture

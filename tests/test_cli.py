@@ -126,6 +126,29 @@ def test_evolve_rejects_huge_degree_before_allocating(tmp_path):
     assert "line 2: degree l=100000000 exceeds the truncation lmax=6" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "rows,line,pair",
+    [
+        ("2,1,0.5,0.25\n2,-1,0.5,0.25\n", 4, "l=2,m=-1"),  # should be -0.5+0.25i
+        ("1,1,0.5,0.25\n", 3, "l=1,m=-1"),  # the (1, -1) partner is missing
+    ],
+    ids=["mismatched-pair", "missing-partner"],
+)
+def test_evolve_rejects_asymmetric_spectral_file(tmp_path, rows, line, pair):
+    # the reader checks each m < 0 row against its m > 0 partner and names the line
+    path = tmp_path / "ic.csv"
+    path.write_text("l,m,re,im\n1,0,1.0,0.0\n" + rows)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sphereflow", "evolve", "--init", f"file:{path}",
+         "--lmax", "6", "--steps", "2", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"line {line}: a_({pair})" in proc.stderr
+
+
 def test_evolve_rejects_non_finite_viscosity(tmp_path, capsys):
     argv = ["evolve", "--init", "harmonic:2,1", "--lmax", "4", "--nu", "nan",
             "--dt", "1e-3", "--steps", "2", "--out", str(tmp_path)]

@@ -252,6 +252,17 @@ def test_hemisphere_without_area_element():
     assert offset == pytest.approx(2.0 * math.pi**2, abs=1e-8)
 
 
+@pytest.mark.parametrize("area_element", [True, False], ids=["area", "bare"])
+@pytest.mark.parametrize("hemisphere", ["north", "south"])
+@pytest.mark.parametrize("k1,k2", [(1.0, 0.0), (-2.0, 0.5), (0.3, -1.7)])
+def test_hemisphere_closed_form_matches_quadrature(hemisphere, area_element, k1, k2):
+    lo, hi = (0.0, 0.5 * math.pi) if hemisphere == "north" else (0.5 * math.pi, math.pi)
+    weight = math.sin if area_element else (lambda t: 1.0)
+    value, _ = quad(lambda t: (k1 * math.log(math.tan(0.5 * t)) + k2) * weight(t), lo, hi, limit=400)
+    got = hemisphere_vorticity_integral(VortexPairParams(k1, k2), hemisphere, area_element)
+    assert got == pytest.approx(2.0 * math.pi * value, abs=1e-12)
+
+
 def test_hemisphere_rejects_unknown_name():
     with pytest.raises(ValueError):
         hemisphere_vorticity_integral(P1, "equator")

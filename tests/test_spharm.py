@@ -1,13 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from sphereflow import spharm
+from sphereflow import exact, spharm, timestep
 from sphereflow.grid import GridSpec, ScalarField, build_grid, surface_integral
 
-from conftest import zonal_field
+from conftest import coeff, order_weights, with_coeff, zonal_field
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -62,23 +65,23 @@ def test_plan_tables_are_packed(lmax, nlat):
 def test_analyze_constant(plan20):
     g = plan20.grid
     c = spharm.analyze(ScalarField(g, np.ones((g.nlat, g.nlon))), plan20)
-    assert spharm.coeff(c, 0, 0) == pytest.approx(math.sqrt(4 * math.pi), abs=1e-12)
+    assert coeff(c, 0, 0) == pytest.approx(math.sqrt(4 * math.pi), abs=1e-12)
     rest = np.array(c.coeffs)
-    rest[0, c.lmax] = 0.0
+    rest[0, 0] = 0.0
     assert np.max(np.abs(rest)) <= 1e-12
 
 
 def test_analyze_cos_theta(plan20):
     # Y_1^0 = sqrt(3/4pi) cos(theta), so cos(theta) has a_{1,0} = sqrt(4pi/3)
     c = spharm.analyze(zonal_field(plan20.grid, plan20.grid.cos_thetas), plan20)
-    assert spharm.coeff(c, 1, 0) == pytest.approx(math.sqrt(4 * math.pi / 3), abs=1e-12)
+    assert coeff(c, 1, 0) == pytest.approx(math.sqrt(4 * math.pi / 3), abs=1e-12)
     rest = np.array(c.coeffs)
-    rest[1, c.lmax] = 0.0
+    rest[1, 0] = 0.0
     assert np.max(np.abs(rest)) <= 1e-12
 
 
 def test_synthesize_cos_theta(plan20):
-    c = spharm.with_coeff(spharm.zeros(20), 1, 0, math.sqrt(4 * math.pi / 3))
+    c = with_coeff(spharm.zeros(20), 1, 0, math.sqrt(4 * math.pi / 3))
     f = spharm.synthesize(c, plan20)
     assert np.max(np.abs(f.values - plan20.grid.cos_thetas[:, None])) <= 1e-12
 
@@ -107,13 +110,23 @@ def _legendre_all_orders(plan, tables):
     return dense, ms
 
 
+def _all_orders(c):
+    """Coefficients for m = -L..L, shape (L+1, 2L+1): a_{l,-m} = (-1)^m conj(a_{l,m})."""
+    L = c.lmax
+    full = np.zeros((L + 1, 2 * L + 1), dtype=np.complex128)
+    for m in range(L + 1):
+        full[:, L + m] = c.coeffs[:, m]
+        full[:, L - m] = (-1) ** m * np.conj(c.coeffs[:, m])
+    return full
+
+
 def _direct_synthesis(c, plan, tables=None):
-    """sum a_{l,m} Y_l^m with an explicit longitude sum instead of the FFT.
+    """sum a_{l,m} Y_l^m over every order with an explicit longitude sum instead of the FFT.
 
     ``tables`` replaces ``plan.plm`` (``plan.dplm`` gives the theta derivative).
     """
     p, ms = _legendre_all_orders(plan, plan.plm if tables is None else tables)
-    profiles = np.einsum("ilm,lm->im", p, c.coeffs)
+    profiles = np.einsum("ilm,lm->im", p, _all_orders(c))
     return profiles @ np.exp(1j * np.outer(ms, plan.grid.phis))
 
 
@@ -134,7 +147,7 @@ def test_longitude_transforms_agree(plan20):
     assert np.max(np.abs(f_fft.values - f_dir)) <= 1e-12
     a_fft = spharm.analyze(f_fft, plan20)
     a_dir = _direct_analysis(f_fft.values, plan20)
-    assert np.max(np.abs(a_fft.coeffs - a_dir)) <= 1e-12
+    assert np.max(np.abs(_all_orders(a_fft) - a_dir)) <= 1e-12
 
 
 def test_gradient_matches_direct_oracle(plan20):
@@ -143,7 +156,7 @@ def test_gradient_matches_direct_oracle(plan20):
     rng = np.random.default_rng(6)
     c = spharm.random_real_field(20, rng)
     d_theta, d_phi = spharm.synthesize_gradient(c, plan20)
-    ms = np.arange(-20, 21)[None, :]
+    ms = np.arange(21)[None, :]
     c_phi = spharm.SpectralField(20, c.coeffs * (1j * ms))
     for got, ref in [(d_theta, _direct_synthesis(c, plan20, plan20.dplm)),
                      (d_phi, _direct_synthesis(c_phi, plan20))]:
@@ -162,19 +175,19 @@ def test_fused_gradients_match_single_field_calls(plan20):
 
 
 def test_laplacian_eigenvalues():
-    c = spharm.with_coeff(spharm.zeros(5), 0, 0, 2.0)
+    c = with_coeff(spharm.zeros(5), 0, 0, 2.0)
     assert np.max(np.abs(spharm.laplace_beltrami_spectral(c).coeffs)) == 0.0
-    c = spharm.with_coeff(spharm.zeros(5), 2, 1, 1.0 + 0.5j)
+    c = with_coeff(spharm.zeros(5), 2, 1, 1.0 + 0.5j)
     image = spharm.laplace_beltrami_spectral(c)
-    assert spharm.coeff(image, 2, 1) == pytest.approx(-6.0 * (1.0 + 0.5j), abs=1e-15)
+    assert coeff(image, 2, 1) == pytest.approx(-6.0 * (1.0 + 0.5j), abs=1e-15)
 
 
 def test_invert_poisson_low_mode():
     # omega = 2 cos(theta) is the l=1 eigenfunction: psi = cos(theta)
     amp = math.sqrt(4 * math.pi / 3)
-    omega = spharm.with_coeff(spharm.zeros(4), 1, 0, 2.0 * amp)
+    omega = with_coeff(spharm.zeros(4), 1, 0, 2.0 * amp)
     psi = spharm.invert_poisson(omega)
-    assert spharm.coeff(psi, 1, 0) == pytest.approx(amp, abs=1e-14)
+    assert coeff(psi, 1, 0) == pytest.approx(amp, abs=1e-14)
 
 
 def test_invert_poisson_round_trip():
@@ -183,7 +196,7 @@ def test_invert_poisson_round_trip():
     psi = spharm.invert_poisson(omega)
     back = spharm.laplace_beltrami_spectral(psi)
     assert np.max(np.abs(-back.coeffs - omega.coeffs)) < 1e-12
-    assert spharm.coeff(psi, 0, 0) == 0.0
+    assert coeff(psi, 0, 0) == 0.0
 
 
 def test_invert_poisson_zero_field():
@@ -192,7 +205,7 @@ def test_invert_poisson_zero_field():
 
 
 def test_invert_poisson_rejects_mean_vorticity():
-    omega = spharm.with_coeff(spharm.zeros(4), 0, 0, 1e-3)
+    omega = with_coeff(spharm.zeros(4), 0, 0, 1e-3)
     with pytest.raises(spharm.GaussConstraintError):
         spharm.invert_poisson(omega)
 
@@ -205,25 +218,24 @@ def test_under_resolved_plan_rejected():
         spharm.build_plan(grid, 9)  # nlat < 10
 
 
-def test_synthesize_rejects_broken_symmetry(plan20):
-    c = spharm.with_coeff(spharm.zeros(20), 2, 1, 1.0)  # no conjugate partner
+def test_spectral_field_rejects_complex_zonal_coefficient():
+    # a_{l,0} must be real; irfft would silently drop its imaginary part.
+    # The bound is 2 |Im a_{l,0}| <= 1e-10 * max(1, l2_norm).
+    arr = np.zeros((21, 21), dtype=np.complex128)
+    arr[2, 0] = 1.0 + 1.0j
+    with pytest.raises(spharm.SymmetryError, match=r"Im a_\(l,0\)"):
+        spharm.SpectralField(20, arr.copy())
+    arr[2, 0] = 100.0 + 0.4e-8j  # 2 |Im| = 0.8e-8 <= 1e-10 * 100
+    assert spharm.SpectralField(20, arr.copy()).coeffs[2, 0] == arr[2, 0]
+    arr[2, 0] = 100.0 + 0.6e-8j
     with pytest.raises(spharm.SymmetryError):
-        spharm.synthesize(c, plan20)
-
-
-def test_synthesize_rejects_complex_zonal_coefficient(plan20):
-    # a_{l,0} must be real; irfft would silently drop its imaginary part
-    c = spharm.with_coeff(spharm.zeros(20), 2, 0, 1.0 + 1.0j)
-    with pytest.raises(spharm.SymmetryError):
-        spharm.synthesize(c, plan20)
-    with pytest.raises(spharm.SymmetryError):
-        spharm.synthesize_gradient(c, plan20)
+        spharm.SpectralField(20, arr.copy())
 
 
 def test_synthesize_plan_too_small():
     grid = build_grid(GridSpec(nlat=8, nlon=16))
     plan = spharm.build_plan(grid, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan resolves lmax=5 < field lmax=7"):
         spharm.synthesize(spharm.zeros(7), plan)
 
 
@@ -238,30 +250,56 @@ def test_synthesize_real_single_order(plan20):
 def test_coefficient_accessors_validate_range():
     c = spharm.zeros(3)
     with pytest.raises(ValueError):
-        spharm.coeff(c, 4, 0)
+        coeff(c, 4, 0)
     with pytest.raises(ValueError):
-        spharm.coeff(c, 2, 3)
+        coeff(c, 2, 3)
     with pytest.raises(ValueError):
-        spharm.with_coeff(c, 2, -3, 1.0)
+        with_coeff(c, 2, -1, 1.0)  # m < 0 is not stored
     with pytest.raises(ValueError):
         spharm.real_single_mode(3, 5, 0)
 
 
-def test_conjugate_symmetry_checker():
+def _replace_row(path, l, m, value):
+    lines = path.read_text().splitlines()
+    row = next(k for k, line in enumerate(lines) if line.startswith(f"{l},{m},"))
+    lines[row] = f"{l},{m},{value}"
+    path.write_text("\n".join(lines) + "\n")
+    return row + 1  # 1-based line number
+
+
+def test_conjugate_symmetry_checker(tmp_path):
+    # the check sits in the reader: a written real field passes, a broken
+    # (l, -m) row or a complex a_{l,0} raises SymmetryError naming its line
     rng = np.random.default_rng(9)
     good = spharm.random_real_field(6, rng)
-    assert spharm.is_conjugate_symmetric(good)
-    assert not spharm.is_conjugate_symmetric(spharm.with_coeff(good, 3, -2, 5.0))
-    assert not spharm.is_conjugate_symmetric(spharm.with_coeff(good, 2, 0, 1.0 + 1.0j))
+    path = tmp_path / "coeffs.csv"
+    spharm.write_spectral_field(good, path)
+    assert np.array_equal(spharm.read_spectral_field(path, 6).coeffs, good.coeffs)
+    line = _replace_row(path, 3, -2, "5.0,0.0")
+    with pytest.raises(spharm.SymmetryError, match=rf"line {line}: a_\(l=3,m=-2\)"):
+        spharm.read_spectral_field(path, 6)
+    spharm.write_spectral_field(good, path)
+    line = _replace_row(path, 2, 0, "1.0,1.0")
+    with pytest.raises(spharm.SymmetryError, match=rf"line {line}: a_\(l=2,m=0\)"):
+        spharm.read_spectral_field(path, 6)
+
+
+def test_spectral_csv_accepts_pairs_within_tolerance(tmp_path):
+    # |a_{l,-m} - (-1)^m conj(a_{l,m})| <= 1e-10 * max(1, ||a||_2 over the file)
+    path = tmp_path / "coeffs.csv"
+    path.write_text("l,m,re,im\n1,0,1.0,0.0\n2,1,0.5,0.25\n2,-1,-0.50000000000005,0.25\n")
+    c = spharm.read_spectral_field(path, 4)
+    assert coeff(c, 2, 1) == 0.5 + 0.25j
 
 
 def test_parseval(plan20):
     rng = np.random.default_rng(3)
     c = spharm.random_real_field(20, rng)
     f = spharm.synthesize(c, plan20)
-    power = float(np.sum(np.abs(c.coeffs) ** 2))
+    power = float(np.sum(order_weights(20) * np.abs(c.coeffs) ** 2))
     quadrature = surface_integral(ScalarField(plan20.grid, f.values**2))
     assert abs(quadrature - power) <= 1e-10 * max(1.0, power)
+    assert spharm.l2_norm(c) ** 2 == pytest.approx(power, rel=1e-14)
 
 
 def test_invert_composes_to_minus_identity(plan20):
@@ -272,8 +310,8 @@ def test_invert_composes_to_minus_identity(plan20):
 
 
 def test_coefficient_mask_enforced():
-    arr = np.zeros((3, 5), dtype=np.complex128)
-    arr[1, 4] = 1.0  # (l=1, m=2) is invalid
+    arr = np.zeros((3, 3), dtype=np.complex128)
+    arr[1, 2] = 1.0  # (l=1, m=2) is invalid
     with pytest.raises(ValueError):
         spharm.SpectralField(2, arr)
 
@@ -288,13 +326,33 @@ def test_spectral_csv_round_trip(tmp_path):
     assert np.array_equal(back.coeffs, c.coeffs)
 
 
+def test_spectral_csv_round_trip_of_an_analysis(tmp_path, plan20):
+    c = spharm.analyze(spharm.synthesize(spharm.random_real_field(20, np.random.default_rng(12)), plan20), plan20)
+    path = tmp_path / "coeffs.csv"
+    spharm.write_spectral_field(c, path)
+    assert np.array_equal(spharm.read_spectral_field(path, 20).coeffs, c.coeffs)
+
+
+@pytest.mark.parametrize(
+    "name,lmax,dealias",
+    [("vortex_pair_l31", 31, True), ("vortex_pair_l24_no_dealias", 24, False)],
+)
+def test_spectral_csv_of_the_vortex_pair_is_pinned(tmp_path, name, lmax, dealias):
+    # written before the orders m < 0 left SpectralField: the writer derives
+    # them from the symmetry with exactly the bytes it used to store
+    omega, _ = timestep.project_vortex_pair(exact.VortexPairParams(k1=1.0), lmax, dealias)
+    path = tmp_path / "coeffs.csv"
+    spharm.write_spectral_field(omega, path)
+    assert path.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
 def test_spectral_csv_pads_to_truncation(tmp_path):
     c = spharm.random_real_field(3, np.random.default_rng(5))
     path = tmp_path / "coeffs.csv"
     spharm.write_spectral_field(c, path)
     back = spharm.read_spectral_field(path, 6)
     assert back.lmax == 6
-    assert np.array_equal(back.coeffs[:4, 3:10], c.coeffs)
+    assert np.array_equal(back.coeffs[:4, :4], c.coeffs)
     assert np.count_nonzero(back.coeffs) == np.count_nonzero(c.coeffs)
 
 
@@ -310,9 +368,15 @@ def test_spectral_csv_pads_to_truncation(tmp_path):
         ("2,1,1.0,0.0,0.0", "line 4: expected 4 columns"),
         ("2.5,1,1.0,0.0", "line 4: cannot parse"),
         ("100000000,0,1.0,0.0", "line 4: degree l=100000000 exceeds the truncation lmax=4"),
+        ("2,1,1.0,0.0", r"line 4: a_\(l=2,m=-1\) differs"),  # a missing (2, -1) counts as zero
+        ("2,-1,1.0,0.0", r"line 4: a_\(l=2,m=-1\) differs"),
+        # conj(a_{2,1}) without the (-1)^m sign
+        ("2,1,1.0,0.5\n2,-1,1.0,-0.5", r"line 5: a_\(l=2,m=-1\) differs"),
+        ("3,0,1.0,0.5", r"line 4: a_\(l=3,m=0\) differs"),
     ],
     ids=["m-beyond-l", "negative-l", "duplicate", "nan", "inf", "three-columns",
-         "five-columns", "non-integer-degree", "huge-degree"],
+         "five-columns", "non-integer-degree", "huge-degree", "missing-negative-order",
+         "missing-positive-order", "wrong-sign", "complex-zonal"],
 )
 def test_spectral_csv_rejects_bad_rows(tmp_path, row, match):
     path = tmp_path / "coeffs.csv"
