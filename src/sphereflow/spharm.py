@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
 from .grid import Grid, ScalarField
 
-#: Relative bound on the mean vorticity accepted by :func:`invert_poisson`.
+#: Relative bound on the mean vorticity accepted by :func:`check_gauss_constraint`.
 GAUSS_CONSTRAINT_RTOL = 1e-10
 
 #: Relative bound on the departure from a real field: 2 |Im a_{l,0}| in a
@@ -58,8 +59,9 @@ class SymmetryError(ValueError):
 class SpectralField:
     """Coefficients a_{l,m} of a real field for 0 <= m <= l <= lmax.
 
-    ``coeffs`` has shape (lmax+1, lmax+1); column m holds order m, and
-    entries with m > l must be zero.  The orders m < 0 are not stored:
+    ``coeffs`` is a read-only copy of the array given, of shape
+    (lmax+1, lmax+1); column m holds order m, and entries with m > l must be
+    zero.  The orders m < 0 are not stored:
     a_{l,-m} = (-1)^m conj(a_{l,m}).  A field whose a_{l,0} are not real, by
     more than ``SYMMETRY_RTOL * max(1, l2_norm)`` in 2 |Im a_{l,0}|, raises
     :class:`SymmetryError`.
@@ -69,14 +71,14 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
+        c = np.array(self.coeffs, dtype=np.complex128, order="C")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         if self.lmax < 0 or c.shape != (self.lmax + 1, self.lmax + 1):
             raise ValueError(
                 f"coefficient array shape {c.shape} does not match lmax={self.lmax}"
             )
-        if np.triu(c, 1).any():
+        if c[_above_diagonal(self.lmax)].any():
             raise ValueError("coefficients with m > l must be zero")
         zonal_im = c[:, 0].imag
         if zonal_im.any():
@@ -88,8 +90,12 @@ class SpectralField:
                 )
 
 
-def zeros(lmax: int) -> SpectralField:
-    return SpectralField(lmax, np.zeros((lmax + 1, lmax + 1), dtype=np.complex128))
+@functools.lru_cache(maxsize=None)
+def _above_diagonal(lmax: int) -> np.ndarray:
+    """Read-only (lmax+1, lmax+1) mask of the entries m > l, built once per truncation."""
+    mask = np.triu(np.ones((lmax + 1, lmax + 1), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
 
 
 def real_single_mode(lmax: int, l: int, m: int, amplitude: float = 1.0) -> SpectralField:
@@ -277,7 +283,17 @@ def _longitude_synthesis(profiles: np.ndarray, nlon: int) -> np.ndarray:
 
 
 def synthesize(c: SpectralField, plan: TransformPlan) -> ScalarField:
-    """Evaluate sum a_{l,m} Y_l^m over all orders -l..l on the plan's grid."""
+    """Evaluate sum a_{l,m} Y_l^m over all orders -l..l on the plan's grid.
+
+    A zonal field (orders m >= 1 exactly zero) within the plan's degree runs only the
+    order-0 GEMM, shaped as in ``_order_profiles``, and repeats each row in longitude:
+    the irfft of a lone mean is exact, so the bytes match the per-order path.
+    """
+    if not c.coeffs[:, 1:].any() and c.lmax <= plan.lmax:
+        pairs = np.zeros((plan.lmax + 1, 1), dtype=np.complex128)
+        pairs[: c.lmax + 1] = c.coeffs[:, :1]
+        profile = plan.plm[: plan.lmax + 1].T @ pairs.view(np.float64)  # rows 0..L: order 0
+        return ScalarField(plan.grid, np.repeat(profile[:, :1], plan.grid.nlon, axis=1))
     profiles = _order_profiles([c], plan, (plan.plm,))
     return ScalarField(plan.grid, _longitude_synthesis(profiles, plan.grid.nlon)[0])
 
@@ -316,18 +332,19 @@ def laplace_beltrami_spectral(c: SpectralField) -> SpectralField:
     return SpectralField(c.lmax, c.coeffs * laplacian_eigenvalues(c.lmax))
 
 
-def invert_poisson(omega: SpectralField) -> SpectralField:
-    """Solve -lap(psi) = omega in coefficients, zero-mean gauge.
-
-    The l = 0 mode is not invertible; the mean vorticity must vanish to
-    within ``GAUSS_CONSTRAINT_RTOL`` times the coefficient norm.
-    """
-    L = omega.lmax
+def check_gauss_constraint(omega: SpectralField) -> None:
+    """Raise :class:`GaussConstraintError` if |a_{0,0}| > ``GAUSS_CONSTRAINT_RTOL`` * l2_norm."""
     mean = abs(complex(omega.coeffs[0, 0]))
-    if mean > GAUSS_CONSTRAINT_RTOL * max(l2_norm(omega), np.finfo(float).tiny):
+    if mean and mean > GAUSS_CONSTRAINT_RTOL * max(l2_norm(omega), np.finfo(float).tiny):
         raise GaussConstraintError(
             f"mean vorticity {mean:.3e} violates the zero-total-vorticity constraint"
         )
+
+
+def invert_poisson(omega: SpectralField) -> SpectralField:
+    """Solve -lap(psi) = omega in coefficients, zero-mean gauge, once the Gauss check passes."""
+    check_gauss_constraint(omega)
+    L = omega.lmax
     eig = laplacian_eigenvalues(L)
     eig[0, 0] = -1.0  # placeholder, the l = 0 row is zeroed below
     psi = omega.coeffs / (-eig)

@@ -10,9 +10,11 @@ two-thirds (transform-grid) dealiasing the projected bracket integrals are
 exact, so the inviscid semi-discrete system conserves energy and enstrophy
 up to time-integration error.  The viscous term is exact in coefficients.
 
-A zonal state (every order m >= 1 exactly zero) skips the bracket
-transforms: both phi-derivatives vanish, so the transform path would return
-exact zeros, and RK4 keeps zonal stages zonal.  Transform plans are cached
+A zonal state (every order m >= 1 exactly zero) skips the Poisson solve and
+the bracket transforms: both phi-derivatives vanish, so the transform path
+would return exact zeros, and RK4 keeps zonal stages zonal.  Its per-step
+diagnostics synthesise order 0 only (see :func:`sphereflow.spharm.synthesize`),
+with the same bytes as the per-order path.  Transform plans are cached
 per (lmax, dealias), at most :data:`PLAN_CACHE_SIZE` per process (about
 25 MB of Legendre tables each at lmax 127).
 
@@ -124,13 +126,14 @@ def _advection_coeffs(omega: spharm.SpectralField, plan: spharm.TransformPlan) -
     """Spectral image of (1/sin) J(psi, omega).
 
     Raises :class:`~sphereflow.spharm.GaussConstraintError` through
-    :func:`~sphereflow.spharm.invert_poisson` when the mean vorticity is nonzero.
-    A zonal omega (every order m >= 1 exactly zero) returns zeros without
-    transforming: both phi-derivatives vanish, so the bracket is exactly zero.
+    :func:`~sphereflow.spharm.check_gauss_constraint` when the mean vorticity
+    is nonzero.  A zonal omega (every order m >= 1 exactly zero) runs only that
+    check and returns zeros: both phi-derivatives vanish, so the bracket does.
     """
-    psi = spharm.invert_poisson(omega)
     if not omega.coeffs[:, 1:].any():
+        spharm.check_gauss_constraint(omega)
         return np.zeros_like(omega.coeffs)
+    psi = spharm.invert_poisson(omega)
     (om_t, ps_t), (om_p, ps_p) = spharm._synthesize_gradients([omega, psi], plan)
     s = plan.grid.sin_thetas[:, None]
     bracket = (ps_p / s) * om_t - ps_t * (om_p / s)

@@ -24,6 +24,18 @@ def zonal_field(grid, profile):
     return sgrid.ScalarField(grid, np.repeat(np.asarray(profile)[:, None], grid.nlon, axis=1))
 
 
+def zeros(lmax):
+    """The zero field of truncation ``lmax``."""
+    return spharm.SpectralField(lmax, np.zeros((lmax + 1, lmax + 1), dtype=np.complex128))
+
+
+def random_zonal(lmax, seed):
+    """Random real field with every order m >= 1 exactly zero."""
+    c = np.array(spharm.random_real_field(lmax, np.random.default_rng(seed)).coeffs)
+    c[:, 1:] = 0.0
+    return spharm.SpectralField(lmax, c)
+
+
 def _check_stored(c, l, m):
     if not (0 <= m <= l <= c.lmax):
         raise ValueError(f"(l={l}, m={m}) is not a stored order 0 <= m <= l <= {c.lmax}")
@@ -59,3 +71,17 @@ def gl_grid():
 @pytest.fixture
 def uniform_grid():
     return sgrid.build_grid(sgrid.GridSpec(nlat=64, nlon=128, kind="uniform-interior"))
+
+
+@pytest.fixture
+def count_order_profiles(monkeypatch):
+    """Record the plan lmax of every call to the per-order Legendre loop."""
+    calls = []
+    real = spharm._order_profiles
+
+    def counted(fields, plan, tables):
+        calls.append(plan.lmax)
+        return real(fields, plan, tables)
+
+    monkeypatch.setattr(spharm, "_order_profiles", counted)
+    return calls

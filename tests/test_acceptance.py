@@ -18,7 +18,7 @@ from sphereflow.cli import main
 from sphereflow.grid import DEFAULT_BAND, GridSpec, build_grid, surface_integral
 from sphereflow.operators import laplace_beltrami_fd, mercator_laplacian, ns_residual
 
-from conftest import band_max, coeff, fit_order, with_coeff
+from conftest import band_max, coeff, fit_order, with_coeff, zeros
 
 P1 = exact.VortexPairParams(k1=1.0, k2=0.0)
 RESIDUAL_FLOOR = 1e-9  # below this the sequence sits at rounding level
@@ -107,7 +107,7 @@ def test_spectral_operator_eigenrelation():
     ok = True
     for l in range(21):
         for m in range(l + 1):
-            c = with_coeff(spharm.zeros(20), l, m, 1.0)
+            c = with_coeff(zeros(20), l, m, 1.0)
             image = spharm.laplace_beltrami_spectral(c)
             ok = ok and coeff(image, l, m) == -l * (l + 1)
     # finite-difference side: O(h^2) truncation envelope for every degree at

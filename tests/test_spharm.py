@@ -8,7 +8,7 @@ from scipy.special import sph_harm_y
 from sphereflow import exact, spharm, timestep
 from sphereflow.grid import GridSpec, ScalarField, build_grid, surface_integral
 
-from conftest import coeff, order_weights, with_coeff, zonal_field
+from conftest import coeff, order_weights, random_zonal, with_coeff, zeros, zonal_field
 
 DATA = Path(__file__).parent / "data"
 
@@ -81,13 +81,13 @@ def test_analyze_cos_theta(plan20):
 
 
 def test_synthesize_cos_theta(plan20):
-    c = with_coeff(spharm.zeros(20), 1, 0, math.sqrt(4 * math.pi / 3))
+    c = with_coeff(zeros(20), 1, 0, math.sqrt(4 * math.pi / 3))
     f = spharm.synthesize(c, plan20)
     assert np.max(np.abs(f.values - plan20.grid.cos_thetas[:, None])) <= 1e-12
 
 
 def test_synthesize_zeros(plan20):
-    f = spharm.synthesize(spharm.zeros(20), plan20)
+    f = spharm.synthesize(zeros(20), plan20)
     assert np.max(np.abs(f.values)) == 0.0
 
 
@@ -175,9 +175,9 @@ def test_fused_gradients_match_single_field_calls(plan20):
 
 
 def test_laplacian_eigenvalues():
-    c = with_coeff(spharm.zeros(5), 0, 0, 2.0)
+    c = with_coeff(zeros(5), 0, 0, 2.0)
     assert np.max(np.abs(spharm.laplace_beltrami_spectral(c).coeffs)) == 0.0
-    c = with_coeff(spharm.zeros(5), 2, 1, 1.0 + 0.5j)
+    c = with_coeff(zeros(5), 2, 1, 1.0 + 0.5j)
     image = spharm.laplace_beltrami_spectral(c)
     assert coeff(image, 2, 1) == pytest.approx(-6.0 * (1.0 + 0.5j), abs=1e-15)
 
@@ -185,7 +185,7 @@ def test_laplacian_eigenvalues():
 def test_invert_poisson_low_mode():
     # omega = 2 cos(theta) is the l=1 eigenfunction: psi = cos(theta)
     amp = math.sqrt(4 * math.pi / 3)
-    omega = with_coeff(spharm.zeros(4), 1, 0, 2.0 * amp)
+    omega = with_coeff(zeros(4), 1, 0, 2.0 * amp)
     psi = spharm.invert_poisson(omega)
     assert coeff(psi, 1, 0) == pytest.approx(amp, abs=1e-14)
 
@@ -200,12 +200,12 @@ def test_invert_poisson_round_trip():
 
 
 def test_invert_poisson_zero_field():
-    psi = spharm.invert_poisson(spharm.zeros(6))
+    psi = spharm.invert_poisson(zeros(6))
     assert np.max(np.abs(psi.coeffs)) == 0.0
 
 
 def test_invert_poisson_rejects_mean_vorticity():
-    omega = with_coeff(spharm.zeros(4), 0, 0, 1e-3)
+    omega = with_coeff(zeros(4), 0, 0, 1e-3)
     with pytest.raises(spharm.GaussConstraintError):
         spharm.invert_poisson(omega)
 
@@ -233,10 +233,50 @@ def test_spectral_field_rejects_complex_zonal_coefficient():
 
 
 def test_synthesize_plan_too_small():
+    # a zonal field too: the order-0 shortcut must not skip the degree check
     grid = build_grid(GridSpec(nlat=8, nlon=16))
     plan = spharm.build_plan(grid, 5)
     with pytest.raises(ValueError, match="plan resolves lmax=5 < field lmax=7"):
-        spharm.synthesize(spharm.zeros(7), plan)
+        spharm.synthesize(zeros(7), plan)
+
+
+def _per_order_synthesis(c, plan):
+    """synthesize without the zonal shortcut: one GEMM per order, then the irfft."""
+    profiles = spharm._order_profiles([c], plan, (plan.plm,))
+    return spharm._longitude_synthesis(profiles, plan.grid.nlon)[0]
+
+
+@pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "plain"])
+@pytest.mark.parametrize("lmax", [15, 31, 63, 127])
+@pytest.mark.parametrize("kind", ["pair", "random"])
+def test_zonal_synthesis_equals_per_order_path(kind, lmax, dealias, count_order_profiles):
+    # the order-0 shortcut must give the bytes of the full per-order path
+    if kind == "pair":
+        c, plan = timestep.project_vortex_pair(exact.VortexPairParams(k1=1.0), lmax, dealias)
+    else:
+        c, plan = random_zonal(lmax, lmax), timestep.transform_plan_for(lmax, dealias)
+    got = spharm.synthesize(c, plan).values
+    assert count_order_profiles == []
+    assert np.max(np.abs(got)) > 0.1
+    assert np.array_equal(got, _per_order_synthesis(c, plan))
+
+
+def test_zonal_synthesis_below_the_plan_degree(plan20, count_order_profiles):
+    c = random_zonal(10, 3)
+    got = spharm.synthesize(c, plan20).values
+    assert count_order_profiles == []
+    assert np.array_equal(got, _per_order_synthesis(c, plan20))
+    padded = np.zeros((21, 21), dtype=np.complex128)
+    padded[:11, :11] = c.coeffs
+    assert np.array_equal(got, spharm.synthesize(spharm.SpectralField(20, padded), plan20).values)
+
+
+def test_near_zonal_synthesis_takes_per_order_path(plan20, count_order_profiles):
+    c = random_zonal(20, 6)
+    c = spharm.SpectralField(20, c.coeffs + 1e-3 * spharm.real_single_mode(20, 3, 1).coeffs)
+    got = spharm.synthesize(c, plan20).values
+    assert count_order_profiles == [20]
+    assert np.array_equal(got, _per_order_synthesis(c, plan20))
 
 
 def test_synthesize_real_single_order(plan20):
@@ -248,7 +288,7 @@ def test_synthesize_real_single_order(plan20):
 
 
 def test_coefficient_accessors_validate_range():
-    c = spharm.zeros(3)
+    c = zeros(3)
     with pytest.raises(ValueError):
         coeff(c, 4, 0)
     with pytest.raises(ValueError):
@@ -309,11 +349,35 @@ def test_invert_composes_to_minus_identity(plan20):
     assert np.max(np.abs(composed.coeffs + c.coeffs)) < 1e-12
 
 
-def test_coefficient_mask_enforced():
-    arr = np.zeros((3, 3), dtype=np.complex128)
-    arr[1, 2] = 1.0  # (l=1, m=2) is invalid
+@pytest.mark.parametrize("lmax", [2, 7, 31, 7], ids=["l2", "l7", "l31", "l7-cached"])
+def test_coefficient_mask_enforced(lmax):
+    # the m > l mask is built once per lmax; the repeated lmax reads it from the cache
+    hits = spharm._above_diagonal.cache_info().hits
+    arr = np.zeros((lmax + 1, lmax + 1), dtype=np.complex128)
+    arr[lmax - 1, lmax] = 1.0  # (l=L-1, m=L) is invalid
+    with pytest.raises(ValueError, match="m > l must be zero"):
+        spharm.SpectralField(lmax, arr)
+    arr[lmax - 1, lmax] = 0.0
+    arr[lmax, lmax] = 1.0  # m = l is stored
+    assert spharm.SpectralField(lmax, arr).coeffs[lmax, lmax] == 1.0
+    assert spharm._above_diagonal.cache_info().hits > hits
+    mask = spharm._above_diagonal(lmax)
+    assert np.array_equal(mask, np.triu(np.ones((lmax + 1, lmax + 1), dtype=bool), 1))
+    assert not mask.flags.writeable
     with pytest.raises(ValueError):
-        spharm.SpectralField(2, arr)
+        mask[0, 1] = False
+
+
+def test_spectral_field_copies_its_input():
+    # the field freezes its own copy: the caller's array stays writeable,
+    # and writing to it leaves the field unchanged
+    arr = np.zeros((4, 4), dtype=np.complex128)
+    arr[2, 1] = 1.0 + 2.0j
+    c = spharm.SpectralField(3, arr)
+    assert arr.flags.writeable
+    arr[2, 1] = 5.0
+    assert c.coeffs[2, 1] == 1.0 + 2.0j
+    assert not c.coeffs.flags.writeable
 
 
 def test_spectral_csv_round_trip(tmp_path):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import sph_harm_y
 
 from sphereflow import exact, spharm, timestep
-from sphereflow.grid import ScalarField
+from sphereflow.grid import DEFAULT_BAND, ScalarField
 from sphereflow.timestep import (
     EvolutionConfig,
     InstabilityError,
@@ -15,7 +16,7 @@ from sphereflow.timestep import (
     write_time_series,
 )
 
-from conftest import coeff, fit_order, order_weights, with_coeff
+from conftest import coeff, fit_order, order_weights, random_zonal, with_coeff, zeros
 
 P1 = exact.VortexPairParams(k1=1.0, k2=0.0)
 
@@ -55,7 +56,7 @@ def test_rhs_eigenmode_is_pure_decay():
 
 def test_rhs_zero_field():
     cfg = EvolutionConfig(nu=0.3, dt=1e-3, steps=1, lmax=4)
-    tend = rhs(spharm.zeros(4), cfg)
+    tend = rhs(zeros(4), cfg)
     assert np.max(np.abs(tend.coeffs)) == 0.0
 
 
@@ -69,9 +70,9 @@ def test_rhs_conserves_mean_exactly():
 
 @pytest.mark.parametrize("entry", [rhs, evolve], ids=["rhs", "evolve"])
 def test_rhs_rejects_mean_vorticity(entry):
-    # the one Gauss check sits in invert_poisson; both entry points reach it
+    # the one Gauss check is spharm.check_gauss_constraint; both entry points reach it
     cfg = EvolutionConfig(nu=0.0, dt=1e-3, steps=1, lmax=4)
-    omega = with_coeff(spharm.zeros(4), 0, 0, 1.0)
+    omega = with_coeff(zeros(4), 0, 0, 1.0)
     with pytest.raises(spharm.GaussConstraintError, match="zero-total-vorticity"):
         entry(omega, cfg)
 
@@ -153,12 +154,6 @@ def _transform_bracket(omega, plan):
     return out
 
 
-def _random_zonal(lmax, seed):
-    c = np.array(spharm.random_real_field(lmax, np.random.default_rng(seed)).coeffs)
-    c[:, 1:] = 0.0
-    return spharm.SpectralField(lmax, c)
-
-
 @pytest.fixture
 def count_transforms(monkeypatch):
     calls = []
@@ -180,7 +175,7 @@ def test_zonal_shortcut_equals_transform_path(kind, lmax, dealias, count_transfo
     if kind == "pair":
         omega, plan = timestep.project_vortex_pair(P1, lmax, dealias)
     else:
-        omega, plan = _random_zonal(lmax, 5), timestep.transform_plan_for(lmax, dealias)
+        omega, plan = random_zonal(lmax, 5), timestep.transform_plan_for(lmax, dealias)
     full = _transform_bracket(omega, plan)
     assert not full.any()
     del count_transforms[:]
@@ -192,7 +187,7 @@ def test_zonal_shortcut_equals_transform_path(kind, lmax, dealias, count_transfo
 def test_near_zonal_field_takes_transform_path(count_transforms):
     L = 20
     plan = timestep.transform_plan_for(L, True)
-    omega = _random_zonal(L, 5)
+    omega = random_zonal(L, 5)
     omega = spharm.SpectralField(L, omega.coeffs + 1e-3 * spharm.real_single_mode(L, 3, 1).coeffs)
     got = timestep._advection_coeffs(omega, plan)
     assert count_transforms == [L]
@@ -206,17 +201,101 @@ def test_tendency_keeps_zonal_coefficients_real(zonal):
     # (the analysis, the Poisson division, the viscous term) and the RK4
     # stage combinations must keep it exactly zero on both paths
     L = 12
-    omega = _random_zonal(L, 4) if zonal else spharm.random_real_field(L, np.random.default_rng(4))
+    omega = random_zonal(L, 4) if zonal else spharm.random_real_field(L, np.random.default_rng(4))
     cfg = EvolutionConfig(nu=0.01, dt=5e-3, steps=1, lmax=L)
     tend = rhs(omega, cfg).coeffs
     assert not tend[:, 0].imag.any()
     assert not (omega.coeffs + 0.5 * cfg.dt * tend)[:, 0].imag.any()
 
 
-def test_zonal_evolve_never_transforms_the_bracket(count_transforms):
+def test_zonal_evolve_never_transforms_the_bracket(count_transforms, count_order_profiles, monkeypatch):
+    # nor solves a Poisson problem, nor runs the per-order synthesis loop in
+    # its per-step diagnostics
+    solves = []
+    real = spharm.invert_poisson
+    monkeypatch.setattr(spharm, "invert_poisson", lambda omega: solves.append(1) or real(omega))
     cfg = EvolutionConfig(nu=0.01, dt=5e-3, steps=4, lmax=15)
-    evolve(timestep.project_vortex_pair(P1, 15)[0], cfg)
+    series = evolve(timestep.project_vortex_pair(P1, 15)[0], cfg)
     assert count_transforms == []
+    assert count_order_profiles == []
+    assert solves == []
+    assert series.drift[-1] > 0.0
+
+
+def test_rhs_rejects_mean_vorticity_of_a_non_zonal_field():
+    # the transform path reaches the same check through invert_poisson
+    omega = with_coeff(spharm.random_real_field(10, np.random.default_rng(2)), 0, 0, 1e-3)
+    cfg = EvolutionConfig(nu=0.0, dt=1e-3, steps=1, lmax=10)
+    with pytest.raises(spharm.GaussConstraintError, match="zero-total-vorticity"):
+        rhs(omega, cfg)
+
+
+def _rk4_factor(nu, dt, ls):
+    """Per-step RK4 amplification R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, z = -nu l(l+1) dt."""
+    z = -nu * ls * (ls + 1.0) * dt
+    return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+
+@pytest.mark.parametrize("lmax,dealias", [(15, True), (31, True), (63, True), (24, False)])
+def test_zonal_rk4_matches_exact_amplification(lmax, dealias, monkeypatch):
+    # a zonal state has no bracket, so RK4 multiplies each a_l by R(z_l) per
+    # step: energy, enstrophy and the band drift of steadiness_drift (at the
+    # drift-sweep parameters) follow in closed form
+    nu, t_final = 0.01, 0.5
+    runs = []
+    real = timestep.evolve
+
+    def spy(omega0, cfg):
+        runs.append((omega0, cfg, real(omega0, cfg)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(timestep, "evolve", spy)
+    drift = steadiness_drift(P1, lmax, nu, t_final, dealias=dealias)
+    (omega0, cfg, series), = runs
+    a = omega0.coeffs[:, 0].real
+    ls = np.arange(lmax + 1, dtype=float)
+    gain = _rk4_factor(nu, cfg.dt, ls) ** np.arange(cfg.steps + 1)[:, None]  # [step, l]
+    inv = np.zeros(lmax + 1)
+    inv[1:] = 1.0 / (ls[1:] * (ls[1:] + 1.0))
+    enstrophy = 0.5 * (gain * a) ** 2 @ np.ones(lmax + 1)
+    energy = 0.5 * (gain * a) ** 2 @ inv
+    assert np.max(np.abs(series.enstrophy / enstrophy - 1.0)) <= 1e-13
+    assert np.max(np.abs(series.energy / energy - 1.0)) <= 1e-13
+    grid = timestep.transform_plan_for(lmax, dealias).grid
+    thetas = grid.thetas[grid.band_mask(*DEFAULT_BAND)]
+    y = np.array([sph_harm_y(l, 0, thetas, 0.0).real for l in range(lmax + 1)])  # [l, theta]
+    exact_drift = np.max(np.abs(((gain[-1] - 1.0) * a) @ y))
+    assert exact_drift > 1e-3
+    assert abs(drift - exact_drift) <= 1e-13 * series.max_omega[0]
+
+
+def _degree_field(lmax, seed):
+    """Random real field of the single degree l = lmax, every order 0..lmax filled."""
+    rng = np.random.default_rng(seed)
+    arr = np.zeros((lmax + 1, lmax + 1), dtype=np.complex128)
+    arr[lmax, 0] = rng.standard_normal()
+    arr[lmax, 1:] = rng.standard_normal(lmax) + 1j * rng.standard_normal(lmax)
+    return spharm.SpectralField(lmax, arr)
+
+
+@pytest.mark.parametrize("lmax", [63, 127])
+def test_single_degree_field_through_the_transform_path(lmax, count_transforms):
+    # psi = omega / (l(l+1)) makes J(psi, omega) vanish, so the inviscid
+    # tendency is rounding only and RK4 scales the field by R(z)^n exactly;
+    # unlike a zonal field, this runs the full bracket transforms
+    omega = _degree_field(lmax, lmax)
+    scale = np.max(np.abs(omega.coeffs))
+    inviscid = rhs(omega, EvolutionConfig(nu=0.0, dt=1e-2, steps=1, lmax=lmax))
+    assert count_transforms == [lmax]
+    assert np.max(np.abs(inviscid.coeffs)) <= 1e-13 * scale
+    cfg = EvolutionConfig(nu=1e-4, dt=1e-2, steps=3, lmax=lmax)
+    series = evolve(omega, cfg)
+    gain = _rk4_factor(cfg.nu, cfg.dt, float(lmax)) ** np.arange(cfg.steps + 1)
+    assert gain[-1] < 0.99
+    for got, ref in [(series.enstrophy, series.enstrophy[0] * gain**2),
+                     (series.energy, series.energy[0] * gain**2),
+                     (series.max_omega, series.max_omega[0] * gain)]:
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
 
 
 def test_plan_cache_shares_one_plan_per_key():
@@ -243,7 +322,7 @@ def _series_bytes(omega, cfg, path):
 @pytest.mark.parametrize("zonal", [False, True], ids=["random", "zonal"])
 def test_evolve_same_from_cold_and_warm_cache(tmp_path, zonal):
     L = 12
-    omega = _random_zonal(L, 9) if zonal else spharm.random_real_field(L, np.random.default_rng(9))
+    omega = random_zonal(L, 9) if zonal else spharm.random_real_field(L, np.random.default_rng(9))
     cfg = EvolutionConfig(nu=0.01, dt=5e-3, steps=10, lmax=L)
     timestep.transform_plan_for.cache_clear()
     cold = _series_bytes(omega, cfg, tmp_path / "cold.csv")
@@ -255,7 +334,7 @@ def test_evolve_same_from_cold_and_warm_cache(tmp_path, zonal):
 
 def test_evolve_zero_initial_condition():
     cfg = EvolutionConfig(nu=0.1, dt=1e-2, steps=5, lmax=4)
-    series = evolve(spharm.zeros(4), cfg)
+    series = evolve(zeros(4), cfg)
     assert np.max(series.max_omega) == 0.0
     assert np.max(series.drift) == 0.0
     assert series.times.size == 6
