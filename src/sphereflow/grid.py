@@ -143,21 +143,28 @@ def cell_weights(thetas: np.ndarray) -> np.ndarray:
 
 
 def build_grid(spec: GridSpec) -> Grid:
-    """Build the quadrature grid described by ``spec``.
+    """Build the quadrature grid described by ``spec``, mirrored about the equator.
 
     Gauss-Legendre colatitudes are the roots of the Legendre polynomial in
     mu = cos(theta); their weights integrate polynomials in mu up to degree
     2*nlat - 1 exactly.  The uniform kind places nodes at cell midpoints
-    (i + 1/2) * pi/nlat with exact cell masses as weights.
+    (i + 1/2) * pi/nlat with exact cell masses as weights.  Both kinds take
+    the northern half and mirror it bit for bit, theta_south = pi - theta_north
+    and w_south = w_north, with an equator row at exactly pi/2 when nlat is
+    odd.  The transforms rely on this to fold the equatorial parity of the
+    Legendre functions (see :func:`sphereflow.spharm.build_plan`).
     """
+    nh = spec.nlat // 2
     if spec.kind == GAUSS_LEGENDRE:
         mu, w = roots_legendre(spec.nlat)
-        thetas = np.arccos(mu)[::-1].copy()
-        weights = w[::-1].copy()
+        # arccos of the contiguous roots: on a strided view it can round differently
+        north = np.arccos(mu)[::-1][:nh]
     else:
-        h = np.pi / spec.nlat
-        thetas = (np.arange(spec.nlat) + 0.5) * h
-        weights = cell_weights(thetas)
+        north = (np.arange(nh) + 0.5) * (np.pi / spec.nlat)
+    equator = [np.pi / 2] * (spec.nlat % 2)
+    thetas = np.concatenate((north, equator, np.pi - north[::-1]))
+    weights = w[::-1].copy() if spec.kind == GAUSS_LEGENDRE else cell_weights(thetas)
+    weights[spec.nlat - nh :] = weights[:nh][::-1]
     phis = 2.0 * np.pi * np.arange(spec.nlon) / spec.nlon
     return Grid(thetas=thetas, phis=phis, weights=weights)
 

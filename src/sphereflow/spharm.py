@@ -17,15 +17,21 @@ coefficient division.
 
 Normalized associated Legendre functions are generated with the standard
 forward-stable three-term recurrences, each step vectorised over all orders.
-The tables are packed per order: ``plan.plm`` and ``plan.dplm`` hold one row
-per (l, m) with 0 <= m <= l, ordered by m, so order m is one contiguous
-block of rows (see :class:`TransformPlan`).
+Transform grids are mirrored about the equator bit for bit (see
+:func:`sphereflow.grid.build_grid`), and the tables hold the northern rows
+only: Pbar_l^m(pi - theta) = (-1)^(l-m) Pbar_l^m(theta) gives the rest, as
+in SHTns (Schaeffer 2013, G3 14:751).  They are packed per order:
+``plan.plm`` and ``plan.dplm`` hold one row per (l, m) with 0 <= m <= l,
+ordered by m, so order m is one contiguous block of rows (see
+:class:`TransformPlan`).
 
 Per order the transforms run one real matrix product of the table block with
-the coefficients viewed as float64 (re, im) pairs, and then one real FFT
-(``rfft``/``irfft``) in longitude for every row at once.  The gradients of
-several fields share one pass over each table, which is how the vorticity
-tendency synthesises omega and psi.
+the coefficients viewed as float64 (re, im) pairs, split by the parity of
+l - m, and then one real FFT (``rfft``/``irfft``) in longitude for every
+row at once.  Synthesis forms each northern row as even + odd part and its
+mirror as even - odd; analysis projects the symmetric and antisymmetric
+halves of the field.  The gradients of several fields share one pass over
+both tables, which is how the vorticity tendency synthesises omega and psi.
 """
 
 from __future__ import annotations
@@ -139,16 +145,18 @@ def _order_offsets(lmax: int) -> list:
     return [m * (lmax + 1) - m * (m - 1) // 2 for m in range(lmax + 2)]
 
 
-def _legendre_tables(thetas: np.ndarray, lmax: int):
-    """Packed Pbar_l^m(cos theta) and d/dtheta, each of shape ((L+1)(L+2)/2, nlat).
+def _legendre_tables(thetas: np.ndarray, lmax: int) -> np.ndarray:
+    """Packed d/dtheta Pbar_l^m(cos theta) and Pbar_l^m, shape ((L+1)(L+2)/2, 2, ntheta).
 
-    Row off[m] + (l - m) holds degree l of order m.  The recurrences run over
-    the diagonal offset k = l - m, each step vectorised over every order.
+    Row off[m] + (l - m) holds degree l of order m, [:, 0] the theta
+    derivative and [:, 1] the function.  The recurrences run over the
+    diagonal offset k = l - m, each step vectorised over every order.
     """
     cos_t = np.cos(thetas)
     sin_t = np.sin(thetas)
     off = np.array(_order_offsets(lmax))
-    p = np.empty((off[-1], thetas.size))
+    tables = np.empty((off[-1], 2, thetas.size))
+    dp, p = tables[:, 0], tables[:, 1]
     # k = 0: Pbar_m^m = prod_{j <= m} (-sqrt((2j+1)/(2j)) sin theta) / sqrt(4 pi)
     j = np.arange(1, lmax + 1, dtype=np.float64)[:, None]
     factors = np.empty((lmax + 1, thetas.size))
@@ -171,44 +179,67 @@ def _legendre_tables(thetas: np.ndarray, lmax: int):
     m = np.repeat(np.arange(lmax + 1, dtype=np.float64), counts)[:, None]
     l = m + (np.arange(off[-1]) - np.repeat(off[:-1], counts))[:, None]
     c = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
-    dp = l * cos_t
+    np.multiply(l, cos_t, out=dp)
     dp *= p
     dp[1:] -= c[1:] * p[:-1]
     dp *= 1.0 / sin_t
-    return p, dp
+    return tables
 
 
 @dataclasses.dataclass(frozen=True)
 class TransformPlan:
-    """Immutable packed Legendre tables bound to one grid and degree bound.
+    """Immutable packed Legendre tables bound to one mirrored grid and degree bound.
 
-    ``plm`` and ``dplm`` have shape ((lmax+1)(lmax+2)/2, nlat), ordered by
-    order m: rows off[m]:off[m+1] hold degrees l = m..lmax of order m, with
-    off[m] = m(lmax+1) - m(m-1)/2.
+    ``tables`` has shape ((lmax+1)(lmax+2)/2, 2, ceil(nlat/2)): [:, 0] holds
+    d/dtheta Pbar_l^m and [:, 1] holds Pbar_l^m (the views ``dplm`` and
+    ``plm``), on the northern rows only, the equator row included when nlat
+    is odd.  Rows are ordered by order m: rows off[m]:off[m+1] hold degrees
+    l = m..lmax of order m, with off[m] = m(lmax+1) - m(m-1)/2, so one order
+    of both tables is one contiguous block.  The southern rows follow from
+    the parity Pbar_l^m(pi - theta) = (-1)^(l-m) Pbar_l^m(theta), under which
+    d/dtheta Pbar_l^m has the opposite parity.
     """
 
     grid: Grid
     lmax: int
-    plm: np.ndarray
-    dplm: np.ndarray
+    tables: np.ndarray
 
     def __post_init__(self):
-        for name in ("plm", "dplm"):
-            a = np.ascontiguousarray(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        a = np.ascontiguousarray(self.tables)
+        a.setflags(write=False)
+        object.__setattr__(self, "tables", a)
 
-    def blocks(self, table: np.ndarray) -> list:
-        """Per-order views table[off[m]:off[m+1]], m = 0..lmax."""
+    @property
+    def plm(self) -> np.ndarray:
+        return self.tables[:, 1]
+
+    @property
+    def dplm(self) -> np.ndarray:
+        return self.tables[:, 0]
+
+    @functools.cached_property
+    def plm_blocks(self) -> list:
+        """Per-order views plm[off[m]:off[m+1]], m = 0..lmax."""
         off = _order_offsets(self.lmax)
-        return [table[off[m] : off[m + 1]] for m in range(self.lmax + 1)]
+        return [self.plm[off[m] : off[m + 1]] for m in range(self.lmax + 1)]
+
+    @functools.cached_property
+    def table_blocks(self) -> list:
+        """Per-order 2-D views of both tables: one row per degree, d/dtheta then the function."""
+        off = _order_offsets(self.lmax)
+        return [
+            self.tables[off[m] : off[m + 1]].reshape(off[m + 1] - off[m], -1)
+            for m in range(self.lmax + 1)
+        ]
 
 
 def build_plan(grid: Grid, lmax: int) -> TransformPlan:
-    """Precompute Legendre tables; the grid must resolve degree lmax.
+    """Precompute the northern-row Legendre tables; the grid must resolve degree lmax.
 
     Requires nlat >= lmax + 1 and nlon >= 2*lmax + 1 so that analysis of a
-    band-limited field is exact on Gauss-Legendre grids.
+    band-limited field is exact on Gauss-Legendre grids, and a grid mirrored
+    about the equator bit for bit, as :func:`sphereflow.grid.build_grid` makes
+    it: row nlat-1-i at colatitude pi - theta_i with the weight of row i.
     """
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
@@ -217,8 +248,17 @@ def build_plan(grid: Grid, lmax: int) -> TransformPlan:
             f"grid {grid.nlat} x {grid.nlon} cannot resolve lmax={lmax}; "
             f"need nlat >= {lmax + 1} and nlon >= {2 * lmax + 1}"
         )
-    plm, dplm = _legendre_tables(grid.thetas, lmax)
-    return TransformPlan(grid=grid, lmax=lmax, plm=plm, dplm=dplm)
+    north = (grid.nlat + 1) // 2
+    t = grid.thetas
+    if not (
+        np.array_equal(t[::-1][:north], np.pi - t[:north])
+        and np.array_equal(grid.weights[::-1], grid.weights)
+    ):
+        raise ValueError(
+            "grid is not mirrored about the equator: row nlat-1-i needs colatitude "
+            "pi - theta_i and the weight of row i, bit for bit"
+        )
+    return TransformPlan(grid=grid, lmax=lmax, tables=_legendre_tables(t[:north], lmax))
 
 
 def _require_plan_grid(f: ScalarField, plan: TransformPlan) -> None:
@@ -231,84 +271,135 @@ def _require_plan_grid(f: ScalarField, plan: TransformPlan) -> None:
         raise ValueError("field grid does not match the transform plan")
 
 
+@functools.lru_cache(maxsize=None)
+def _odd_offset(lmax: int) -> np.ndarray:
+    """Read-only (lmax+1, lmax+1) mask, indexed [m, l], of the pairs with l - m odd."""
+    ls = np.arange(lmax + 1)
+    mask = np.add.outer(ls, ls) % 2 == 1
+    mask.setflags(write=False)
+    return mask
+
+
 def analyze(f: ScalarField, plan: TransformPlan) -> SpectralField:
     """Project a real field onto the orthonormal basis by quadrature.
 
     a_{l,m} = sum_i w_i dphi sum_j f(theta_i, phi_j) conj(Y_l^m) for m >= 0.
     Exact for band-limited fields on Gauss-Legendre grids resolving the
-    truncation.  The rfft keeps Im a_{l,0} exactly zero.
+    truncation.  The rfft keeps Im a_{l,0} exactly zero.  The field is folded
+    into its symmetric and antisymmetric halves f(theta) +- f(pi - theta) on
+    the northern rows (an equator row enters both), and each order runs one
+    real GEMM of its northern table block against both weighted half spectra;
+    degrees with l - m even take the symmetric one, odd the antisymmetric one.
     """
     _require_plan_grid(f, plan)
     g, L = plan.grid, plan.lmax
-    F = np.fft.rfft(f.values, axis=1)[:, : L + 1] * g.dphi  # dphi sum_j f exp(-i m phi_j)
-    # weighted spectrum per order as float64 pairs, shape (L+1 [m], nlat, 2)
-    rows = np.ascontiguousarray((g.weights[:, None] * F).T).view(np.float64).reshape(L + 1, -1, 2)
-    out = np.zeros((L + 1, L + 1, 2))  # [m, l, re/im]
-    for m, block in enumerate(plan.blocks(plan.plm)):
+    north, nh = plan.plm.shape[1], g.nlat // 2
+    v = f.values
+    halves = np.empty((north, 2, g.nlon))  # [northern row, parity, phi]
+    np.add(v[:nh], v[: -nh - 1 : -1], out=halves[:nh, 0])
+    np.subtract(v[:nh], v[: -nh - 1 : -1], out=halves[:nh, 1])
+    halves[nh:] = v[nh:north, None]
+    F = np.fft.rfft(halves, axis=-1)[..., : L + 1]  # sum_j half(theta_i, phi_j) exp(-i m phi_j)
+    rows = np.empty((L + 1, north, 2), dtype=np.complex128)  # [m, northern row, parity]
+    np.multiply(F.transpose(2, 0, 1), (g.weights[:north] * g.dphi)[:, None], out=rows)
+    rows = rows.view(np.float64).reshape(L + 1, north, 4)
+    out = np.zeros((L + 1, L + 1, 4))  # [m, l, parity and re/im]
+    for m, block in enumerate(plan.plm_blocks):
         np.matmul(block, rows[m], out=out[m, m:])
-    return SpectralField(L, out.view(np.complex128)[:, :, 0].T)
+    by_parity = out.view(np.complex128)  # [m, l, parity]
+    return SpectralField(L, np.where(_odd_offset(L), by_parity[..., 1], by_parity[..., 0]).T)
 
 
-def _order_profiles(fields, plan: TransformPlan, tables) -> np.ndarray:
-    """G_m(theta_i) = sum_l a_{l,m} table[off[m] + l - m, i] for each table and field.
+def _order_profiles(fields, plan: TransformPlan, blocks) -> np.ndarray:
+    """Even and odd parts in l - m of G_m(theta_i) = sum_l a_{l,m} table[off[m] + l - m, i].
 
-    One real GEMM per order and table serves every field: the coefficients
-    enter as float64 (re, im) pairs.  Returns complex
-    profiles[m, theta, t * len(fields) + k] for table t and field k.
+    ``blocks`` is ``plan.table_blocks`` (both tables, d/dtheta first) or
+    ``plan.plm_blocks``.  On the northern rows, one real GEMM per order
+    serves every table, field and parity: the coefficients enter as float64
+    (re, im) pairs split by the parity of l - m.  Returns complex
+    profiles[m, t, i, p, k] for table t, northern row i, parity p (0 for
+    l - m even) and field k.
     """
-    L, nf = plan.lmax, len(fields)
-    cols = np.zeros((L + 1, L + 1, nf), dtype=np.complex128)  # [m, l, field]
+    L, nf, north = plan.lmax, len(fields), plan.plm.shape[1]
+    ntab = blocks[0].shape[1] // north
+    cols = np.zeros((L + 1, L + 1, 2, nf), dtype=np.complex128)  # [m, l, parity, field]
     for k, c in enumerate(fields):
         if c.lmax > L:
             raise ValueError(f"plan resolves lmax={L} < field lmax={c.lmax}")
-        cols[: c.lmax + 1, : c.lmax + 1, k] = c.coeffs.T
-    cols = cols.view(np.float64)
-    out = np.empty((L + 1, plan.grid.nlat, len(tables), 2 * nf))  # [m, theta, table, re/im]
-    blocks = [plan.blocks(table) for table in tables]
-    for m in range(L + 1):
-        for t, table_blocks in enumerate(blocks):
-            np.matmul(table_blocks[m].T, cols[m, m:], out=out[m, :, t])
-    return out.view(np.complex128).reshape(L + 1, plan.grid.nlat, len(tables) * nf)
+        # the pairs of one parity form a checkerboard in (m, l): four strided blocks
+        a, n = c.coeffs.T, c.lmax + 1
+        for i in (0, 1):
+            for j in (0, 1):
+                cols[i:n:2, j:n:2, (i + j) % 2, k] = a[i::2, j::2]
+    cols = cols.view(np.float64).reshape(L + 1, L + 1, 4 * nf)
+    out = np.empty((L + 1, ntab * north, 4 * nf))  # [m, table and row, parity/field/re-im]
+    for m, block in enumerate(blocks):
+        np.matmul(block.T, cols[m, m:], out=out[m])
+    return out.view(np.complex128).reshape(L + 1, ntab, north, 2, nf)
 
 
-def _longitude_synthesis(profiles: np.ndarray, nlon: int) -> np.ndarray:
+def _longitude_synthesis(profiles: np.ndarray, grid: Grid, derivatives) -> np.ndarray:
     """Real sum over all orders of G_m exp(i m phi_j), with G_{-m} = conj(G_m).
 
-    ``profiles[m, theta, k]`` gives one real field per k, shape (k, nlat, nlon).
+    ``profiles`` comes from :func:`_order_profiles`, and ``derivatives[t]``
+    says what table t gives: None for the field (a Pbar_l^m table), "theta"
+    for d/dtheta (a dPbar_l^m/dtheta table) and "phi" for d/dphi (a Pbar_l^m
+    table, times i m on the way into the spectrum).  The even and odd parts
+    each take one irfft per northern row; the northern rows are then
+    even + odd, and their mirrors even - odd, or odd - even for d/dtheta,
+    whose parity is the opposite.  Returns one real field per table and
+    field, shape (tables * fields, nlat, nlon).
     """
-    M, nlat, k = profiles.shape
-    spectrum = np.zeros((k, nlat, nlon // 2 + 1), dtype=np.complex128)
-    spectrum[:, :, :M] = profiles.transpose(2, 1, 0)
-    return np.fft.irfft(spectrum, n=nlon, axis=-1, norm="forward")
+    M, ntab, north, _, nf = profiles.shape
+    nh = grid.nlat // 2
+    spectrum = np.zeros((ntab, nf, 2, north, grid.nlon // 2 + 1), dtype=np.complex128)
+    for t, d in enumerate(derivatives):
+        by_order = profiles[:, t].transpose(3, 2, 1, 0)  # [field, parity, row, m]
+        if d == "phi":
+            np.multiply(by_order, 1j * np.arange(M), out=spectrum[t, ..., :M])
+        else:
+            spectrum[t, ..., :M] = by_order
+    parts = np.fft.irfft(spectrum, n=grid.nlon, axis=-1, norm="forward")
+    even, odd = parts[:, :, 0], parts[:, :, 1]  # [table, field, northern row, phi]
+    values = np.empty((ntab, nf, grid.nlat, grid.nlon))
+    np.add(even, odd, out=values[:, :, :north])
+    for t, d in enumerate(derivatives):
+        a, b = (odd[t], even[t]) if d == "theta" else (even[t], odd[t])
+        np.subtract(a[:, :nh], b[:, :nh], out=values[t, :, : -nh - 1 : -1])
+    return values.reshape(-1, grid.nlat, grid.nlon)
 
 
 def synthesize(c: SpectralField, plan: TransformPlan) -> ScalarField:
     """Evaluate sum a_{l,m} Y_l^m over all orders -l..l on the plan's grid.
 
     A zonal field (orders m >= 1 exactly zero) within the plan's degree runs only the
-    order-0 GEMM, shaped as in ``_order_profiles``, and repeats each row in longitude:
-    the irfft of a lone mean is exact, so the bytes match the per-order path.
+    order-0 GEMM, shaped as in ``_order_profiles``, folds it the same way and repeats
+    each row in longitude: the irfft of a lone mean is exact, so the bytes match the
+    per-order path.
     """
     if not c.coeffs[:, 1:].any() and c.lmax <= plan.lmax:
-        pairs = np.zeros((plan.lmax + 1, 1), dtype=np.complex128)
-        pairs[: c.lmax + 1] = c.coeffs[:, :1]
-        profile = plan.plm[: plan.lmax + 1].T @ pairs.view(np.float64)  # rows 0..L: order 0
-        return ScalarField(plan.grid, np.repeat(profile[:, :1], plan.grid.nlon, axis=1))
-    profiles = _order_profiles([c], plan, (plan.plm,))
-    return ScalarField(plan.grid, _longitude_synthesis(profiles, plan.grid.nlon)[0])
+        g, n, nh = plan.grid, c.lmax + 1, plan.grid.nlat // 2
+        pairs = np.zeros((plan.lmax + 1, 2), dtype=np.complex128)  # [l, parity]
+        pairs[0:n:2, 0] = c.coeffs[0::2, 0]
+        pairs[1:n:2, 1] = c.coeffs[1::2, 0]
+        profile = plan.plm_blocks[0].T @ pairs.view(np.float64)  # E re, E im, O re, O im
+        rows = np.empty(g.nlat)
+        np.add(profile[:, 0], profile[:, 2], out=rows[: profile.shape[0]])
+        np.subtract(profile[:nh, 0], profile[:nh, 2], out=rows[: -nh - 1 : -1])
+        return ScalarField(g, np.repeat(rows[:, None], g.nlon, axis=1))
+    profiles = _order_profiles([c], plan, plan.plm_blocks)
+    return ScalarField(plan.grid, _longitude_synthesis(profiles, plan.grid, (None,))[0])
 
 
 def _synthesize_gradients(fields, plan: TransformPlan) -> np.ndarray:
-    """(df/dtheta, df/dphi) of every field, with one pass over each table.
+    """(df/dtheta, df/dphi) of every field, with one pass over both tables.
 
     Returns shape (2, len(fields), nlat, nlon): index 0 holds the theta
     derivatives, index 1 the phi derivatives.
     """
-    nf = len(fields)
-    profiles = _order_profiles(fields, plan, (plan.dplm, plan.plm))
-    profiles[:, :, nf:] *= 1j * np.arange(plan.lmax + 1)[:, None, None]
-    values = _longitude_synthesis(profiles, plan.grid.nlon)
-    return values.reshape(2, nf, plan.grid.nlat, plan.grid.nlon)
+    profiles = _order_profiles(fields, plan, plan.table_blocks)
+    values = _longitude_synthesis(profiles, plan.grid, ("theta", "phi"))
+    return values.reshape(2, len(fields), plan.grid.nlat, plan.grid.nlon)
 
 
 def synthesize_gradient(c: SpectralField, plan: TransformPlan):

@@ -16,7 +16,9 @@ would return exact zeros, and RK4 keeps zonal stages zonal.  Its per-step
 diagnostics synthesise order 0 only (see :func:`sphereflow.spharm.synthesize`),
 with the same bytes as the per-order path.  Transform plans are cached
 per (lmax, dealias), at most :data:`PLAN_CACHE_SIZE` per process (about
-25 MB of Legendre tables each at lmax 127).
+12.7 MB of northern-row Legendre tables each at lmax 127, on a 192 x 384
+grid).  A step whose grid maximum of |omega| is not finite, or more than
+ten times the initial one, raises :class:`InstabilityError`.
 
 Used here mainly to demonstrate that the vortex-pair flow is steady: its
 spectral truncation is zonal, the bracket vanishes identically, and the only
@@ -39,7 +41,7 @@ STABILITY_LIMIT = 2.8
 
 
 class InstabilityError(RuntimeError):
-    """Raised when the integration blows past ten times its initial amplitude."""
+    """Raised when |omega| turns non-finite or blows past ten times its initial amplitude."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,8 +96,10 @@ class TimeSeries:
                 raise ValueError("diagnostic arrays must share one length")
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(3, (n - 1).bit_length())
+def _fft_size(n: int) -> int:
+    """Smallest 2^k or 3 * 2^k that is at least ``n`` (and at least 8)."""
+    pow2 = 1 << max(3, (n - 1).bit_length())
+    return 3 * pow2 // 4 if 3 * pow2 // 4 >= max(n, 8) else pow2
 
 
 #: Transform plans kept per process: room for a sweep over three truncations and one more.
@@ -107,18 +111,19 @@ def transform_plan_for(lmax: int, dealias: bool) -> spharm.TransformPlan:
     """Gauss-Legendre transform grid sized for the quadratic nonlinearity.
 
     Dealiased runs use the 3/2-rule grid (quadrature exact through triple
-    products of degree lmax); nlon is rounded up to a power of two, which
-    also keeps the longitude FFT of zonal fields exactly zero off the mean.
+    products of degree lmax); nlon is rounded up to the smaller of 2^k and
+    3 * 2^k, lengths at which the rfft of a constant row is exactly zero off
+    the mean, so the analysis of a zonal field stays exactly zonal.
     Plans are cached per ``(lmax, dealias)``: a plan and its grid are frozen
     with read-only arrays, so every caller can share one.
     """
     if dealias:
         nlat = (3 * lmax) // 2 + 2
-        nlon = _next_pow2(3 * lmax + 1)
+        nlon = _fft_size(3 * lmax + 1)
     else:
         nlat = lmax + 2
-        nlon = _next_pow2(2 * lmax + 1)
-    grid = build_grid(GridSpec(nlat=max(nlat, 4), nlon=max(nlon, 8)))
+        nlon = _fft_size(2 * lmax + 1)
+    grid = build_grid(GridSpec(nlat=max(nlat, 4), nlon=nlon))
     return spharm.build_plan(grid, lmax)
 
 
@@ -179,13 +184,14 @@ def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
     both evaluated from coefficients.  Each stage calls :func:`rhs`, so a
     nonzero mean vorticity raises
     :class:`~sphereflow.spharm.GaussConstraintError` before the first step.
-    Raises :class:`InstabilityError` when the grid maximum of |omega| exceeds
-    ten times its initial value.
+    Raises :class:`InstabilityError` when the grid maximum of |omega| is not
+    finite or exceeds ten times its initial value.
     """
     plan = transform_plan_for(cfg.lmax, cfg.dealias)
     if omega0.lmax != cfg.lmax:
         raise ValueError("initial condition truncation does not match the config")
-    band = plan.grid.band_mask(*DEFAULT_BAND)
+    in_band = np.flatnonzero(plan.grid.band_mask(*DEFAULT_BAND))
+    band = slice(in_band[0], in_band[-1] + 1)  # one run of rows: the colatitudes increase
     n = cfg.steps
     times = cfg.dt * np.arange(n + 1)
     energy = np.empty(n + 1)
@@ -196,28 +202,30 @@ def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
     values0 = spharm.synthesize(omega0, plan).values
     initial_max = float(np.max(np.abs(values0)))
 
-    def record(k: int, omega: spharm.SpectralField) -> None:
+    def record(k: int, omega: spharm.SpectralField, values: np.ndarray) -> None:
         energy[k], enstrophy[k] = _energy_enstrophy(omega)
-        values = spharm.synthesize(omega, plan).values
         max_omega[k] = float(np.max(np.abs(values)))
-        drift[k] = float(np.max(np.abs((values - values0)[band, :])))
-        if max_omega[k] > 10.0 * initial_max:
+        drift[k] = float(np.max(np.abs(values[band] - values0[band])))
+        # written so that a NaN maximum fails the test too
+        if not max_omega[k] <= 10.0 * initial_max:
             raise InstabilityError(
-                f"|omega| reached {max_omega[k]:.3e} at t={times[k]:.4g}, more than "
-                f"ten times the initial {initial_max:.3e}"
+                f"|omega| reached {max_omega[k]:.3e} at t={times[k]:.4g}, not finite or "
+                f"more than ten times the initial {initial_max:.3e}"
             )
 
     omega = omega0
-    record(0, omega)
+    record(0, omega, values0)
     L, dt = cfg.lmax, cfg.dt
-    for k in range(1, n + 1):
-        c = omega.coeffs
-        k1 = rhs(omega, cfg, plan).coeffs
-        k2 = rhs(spharm.SpectralField(L, c + 0.5 * dt * k1), cfg, plan).coeffs
-        k3 = rhs(spharm.SpectralField(L, c + 0.5 * dt * k2), cfg, plan).coeffs
-        k4 = rhs(spharm.SpectralField(L, c + dt * k3), cfg, plan).coeffs
-        omega = spharm.SpectralField(L, c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        record(k, omega)
+    # a blow-up overflows inside the stages; record reports it as InstabilityError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            c = omega.coeffs
+            k1 = rhs(omega, cfg, plan).coeffs
+            k2 = rhs(spharm.SpectralField(L, c + 0.5 * dt * k1), cfg, plan).coeffs
+            k3 = rhs(spharm.SpectralField(L, c + 0.5 * dt * k2), cfg, plan).coeffs
+            k4 = rhs(spharm.SpectralField(L, c + dt * k3), cfg, plan).coeffs
+            omega = spharm.SpectralField(L, c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            record(k, omega, spharm.synthesize(omega, plan).values)
     return TimeSeries(
         times=times, energy=energy, enstrophy=enstrophy, max_omega=max_omega, drift=drift
     )

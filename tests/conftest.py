@@ -79,9 +79,9 @@ def count_order_profiles(monkeypatch):
     calls = []
     real = spharm._order_profiles
 
-    def counted(fields, plan, tables):
+    def counted(fields, plan, blocks):
         calls.append(plan.lmax)
-        return real(fields, plan, tables)
+        return real(fields, plan, blocks)
 
     monkeypatch.setattr(spharm, "_order_profiles", counted)
     return calls

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +148,24 @@ def test_evolve_rejects_asymmetric_spectral_file(tmp_path, rows, line, pair):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"line {line}: a_({pair})" in proc.stderr
+
+
+def test_evolve_blow_up_exits_one_without_output(tmp_path):
+    # dt = 1e200 overflows the first step to NaN; the instability test must
+    # catch a NaN maximum (NaN > bound is False) and leave no CSV behind
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sphereflow", "evolve", "--init",
+         "file:tests/data/golden_ic_l20.csv", "--lmax", "24", "--nu", "0",
+         "--dt", "1e200", "--steps", "2", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).parent.parent,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "|omega| reached nan at t=1e+200" in proc.stderr
+    assert not (out / "timeseries.csv").exists()
 
 
 def test_evolve_rejects_non_finite_viscosity(tmp_path, capsys):

@@ -8,8 +8,14 @@ seeded non-zonal field of degree 20 (``random_real_field`` with seed 20240,
 scaled to coefficient L2 norm 4), run at lmax 24 so the file is padded.
 
 The two zonal references (``golden_basic_l31``, ``golden_harmonic30_l24_no_dealias``)
-were written before zonal states skipped the bracket transforms.  That
-shortcut is exact, so these must match byte for byte.
+must match byte for byte; the zonal shortcuts are exact.
+
+``golden_basic_l31`` and ``golden_file_l24`` were re-pinned when the grids
+became mirrored about the equator and nlon became the smaller of 2^k and
+3 * 2^k.  At lmax 24 the dealiased grid went from 128 to 96 longitudes, and
+max_omega and drift are maxima over the transform grid's nodes, so both
+moved by 2.5% there; ``golden_file_l24_nlon128.csv`` keeps the series
+written on 128 longitudes, and the run on that grid must still match it.
 """
 
 from pathlib import Path
@@ -17,7 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sphereflow import spharm, timestep
 from sphereflow.cli import main
+from sphereflow.grid import GridSpec, build_grid
 
 DATA = Path(__file__).parent / "data"
 IC = DATA / "golden_ic_l20.csv"
@@ -52,13 +60,26 @@ def _read_series(path):
     return np.array([line.split(",") for line in lines[1:]], dtype=float)
 
 
+def _assert_matches(path, name):
+    got = _read_series(path)
+    ref = _read_series(DATA / f"{name}.csv")
+    assert got.shape == ref.shape
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_evolve_matches_golden_series(tmp_path, name):
     assert main(["evolve", *CASES[name], "--out", str(tmp_path)]) == 0
     if name in BYTE_EXACT:
         assert (tmp_path / "timeseries.csv").read_bytes() == (DATA / f"{name}.csv").read_bytes()
-    got = _read_series(tmp_path / "timeseries.csv")
-    ref = _read_series(DATA / f"{name}.csv")
-    assert got.shape == ref.shape
-    scale = np.max(np.abs(ref), axis=0)
-    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+    _assert_matches(tmp_path / "timeseries.csv", name)
+
+
+def test_file_l24_matches_its_series_on_128_longitudes(tmp_path, monkeypatch):
+    # the same run on the 38 x 128 transform grid it had before nlon = 3 * 2^k:
+    # the folded transforms reproduce the series pinned there
+    plan = spharm.build_plan(build_grid(GridSpec(nlat=38, nlon=128)), 24)
+    monkeypatch.setattr(timestep, "transform_plan_for", lambda lmax, dealias: plan)
+    assert main(["evolve", *CASES["golden_file_l24"], "--out", str(tmp_path)]) == 0
+    _assert_matches(tmp_path / "timeseries.csv", "golden_file_l24_nlon128")

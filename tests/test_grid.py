@@ -34,6 +34,20 @@ def test_grid_invariants(kind, nlat, nlon):
     assert np.allclose(g.phis, 2 * np.pi * np.arange(nlon) / nlon, atol=0, rtol=0)
 
 
+@pytest.mark.parametrize("kind", ["gauss-legendre", "uniform-interior"])
+@pytest.mark.parametrize("nlat", [4, 5, 16, 17, 192, 193])
+def test_grid_is_mirrored_bit_for_bit(kind, nlat):
+    # row nlat-1-i is pi - theta_i, as computed, with the same weight; an odd
+    # nlat has its middle row on the equator.  The transforms fold on this.
+    g = build_grid(GridSpec(nlat=nlat, nlon=8, kind=kind))
+    north = (nlat + 1) // 2
+    assert np.array_equal(g.thetas[::-1][:north], np.pi - g.thetas[:north])
+    assert np.array_equal(g.weights[::-1], g.weights)
+    if nlat % 2:
+        assert g.thetas[nlat // 2] == np.pi / 2
+    assert np.all(g.thetas[:north] <= np.pi / 2)
+
+
 def test_uniform_grid_is_half_cell_offset():
     g = build_grid(GridSpec(nlat=8, nlon=4, kind="uniform-interior"))
     h = np.pi / 8

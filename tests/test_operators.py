@@ -6,11 +6,12 @@ import sympy
 
 from sphereflow import exact, spharm
 from sphereflow.grid import (
+    Grid,
     GridSpec,
     ScalarField,
     build_grid,
+    cell_weights,
     colatitude_of_mercator,
-    grid_from_colatitudes,
 )
 from sphereflow.operators import (
     VelocityField,
@@ -255,10 +256,14 @@ def test_mercator_laplacian_log_sech():
 
 
 def test_mercator_matches_beltrami_on_conformal_grid():
-    # shared samples: a chi-uniform grid makes the two discretizations coincide
+    # shared samples: a chi-uniform grid makes the two discretizations coincide;
+    # the southern nodes mirror the northern ones, as the transform plan needs
     h = 0.01
-    chi = np.arange(-3.0, 3.0001, h)
-    g = grid_from_colatitudes(colatitude_of_mercator(chi), 16)
+    north = colatitude_of_mercator(h * np.arange(-300, 0))
+    thetas = np.concatenate((north, [np.pi / 2], np.pi - north[::-1]))
+    weights = cell_weights(thetas)
+    weights[-north.size :] = weights[: north.size][::-1]
+    g = Grid(thetas=thetas, phis=2 * np.pi * np.arange(16) / 16, weights=weights)
     plan = spharm.build_plan(g, 7)
     f = spharm.synthesize(spharm.random_real_field(7, np.random.default_rng(3)), plan)
     lb = laplace_beltrami_fd(f)

@@ -6,7 +6,14 @@ import pytest
 from scipy.special import sph_harm_y
 
 from sphereflow import exact, spharm, timestep
-from sphereflow.grid import GridSpec, ScalarField, build_grid, surface_integral
+from sphereflow.grid import (
+    Grid,
+    GridSpec,
+    ScalarField,
+    build_grid,
+    grid_from_colatitudes,
+    surface_integral,
+)
 
 from conftest import coeff, order_weights, random_zonal, with_coeff, zeros, zonal_field
 
@@ -19,8 +26,15 @@ def plan20():
     return spharm.build_plan(grid, 20)
 
 
+@pytest.fixture(scope="module")
+def plan20_odd():
+    # an odd nlat puts a row on the equator, which both parities share
+    grid = build_grid(GridSpec(nlat=33, nlon=48))
+    return spharm.build_plan(grid, 20)
+
+
 def _packed_row(table, plan, l, m):
-    """Pbar_l^m (or its theta derivative) at the plan's colatitudes, m >= 0.
+    """Pbar_l^m (or its theta derivative) from a packed table, m >= 0.
 
     The packed tables hold order m in the contiguous rows starting at
     sum_{m' < m} (L + 1 - m'), degree l at offset l - m within the block.
@@ -29,37 +43,77 @@ def _packed_row(table, plan, l, m):
     return table[m * (L + 1) - m * (m - 1) // 2 + (l - m)]
 
 
+def _all_rows(plan):
+    """(plm, dplm) packed like the plan's, but on every grid row: the recurrences
+    run at each colatitude, southern rows included, with no parity fold."""
+    tables = spharm._legendre_tables(plan.grid.thetas, plan.lmax)
+    return tables[:, 1], tables[:, 0]
+
+
 def test_legendre_tables_match_scipy(plan20):
-    g = plan20.grid
+    north = plan20.grid.thetas[: plan20.plm.shape[1]]
     for l in range(11):
         for m in range(l + 1):
-            ref = sph_harm_y(l, m, g.thetas, 0.0).real
+            ref = sph_harm_y(l, m, north, 0.0).real
             assert np.max(np.abs(_packed_row(plan20.plm, plan20, l, m) - ref)) < 1e-13
 
 
 def test_legendre_theta_derivative_matches_scipy(plan20):
-    g = plan20.grid
+    north = plan20.grid.thetas[: plan20.dplm.shape[1]]
     h = 1e-6
     for l, m in [(1, 0), (3, 2), (6, 6), (10, 4)]:
-        num = (sph_harm_y(l, m, g.thetas + h, 0.0).real - sph_harm_y(l, m, g.thetas - h, 0.0).real) / (2 * h)
+        num = (sph_harm_y(l, m, north + h, 0.0).real - sph_harm_y(l, m, north - h, 0.0).real) / (2 * h)
         assert np.max(np.abs(_packed_row(plan20.dplm, plan20, l, m) - num)) < 1e-8
+
+
+@pytest.mark.parametrize("plan_name", ["plan20", "plan20_odd"])
+def test_tables_hold_the_northern_rows_of_a_mirrored_grid(plan_name, request):
+    # the plan's tables are the northern columns of the all-rows tables, bit for
+    # bit, and the southern columns follow the parity (-1)^(l-m), opposite for d/dtheta
+    plan = request.getfixturevalue(plan_name)
+    g, north = plan.grid, (plan.grid.nlat + 1) // 2
+    assert plan.plm.shape[1] == plan.dplm.shape[1] == north
+    assert np.array_equal(g.thetas[::-1][:north], np.pi - g.thetas[:north])
+    L = plan.lmax
+    k = np.concatenate([np.arange(L + 1 - m) for m in range(L + 1)])[:, None]  # l - m per row
+    sign = (-1.0) ** k
+    for table, full, parity in zip((plan.plm, plan.dplm), _all_rows(plan), (sign, -sign)):
+        assert np.array_equal(table, full[:, :north])
+        mirrored = parity * table[:, : g.nlat // 2]
+        south = full[:, ::-1][:, : g.nlat // 2]
+        assert np.max(np.abs(south - mirrored)) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_build_plan_rejects_a_grid_that_is_not_mirrored():
+    rng = np.random.default_rng(21)
+    grid = grid_from_colatitudes(np.sort(rng.uniform(0.05, np.pi - 0.05, 24)), 32)
+    with pytest.raises(ValueError, match="not mirrored about the equator"):
+        spharm.build_plan(grid, 10)
+    # mirrored nodes with unmirrored weights fail too
+    g = build_grid(GridSpec(nlat=24, nlon=32))
+    w = np.array(g.weights)
+    w[0], w[1] = w[0] + 1e-3, w[1] - 1e-3
+    with pytest.raises(ValueError, match="not mirrored about the equator"):
+        spharm.build_plan(Grid(thetas=g.thetas, phis=g.phis, weights=w), 10)
 
 
 def test_orthonormality_by_quadrature(plan20):
     g = plan20.grid
+    plm, _ = _all_rows(plan20)
     for l, m in [(0, 0), (3, 1), (7, 7), (15, 4)]:
-        y = _packed_row(plan20.plm, plan20, l, m)[:, None] * np.exp(1j * m * g.phis[None, :])
+        y = _packed_row(plm, plan20, l, m)[:, None] * np.exp(1j * m * g.phis[None, :])
         norm = surface_integral(ScalarField(g, np.abs(y) ** 2))
         assert norm == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("lmax,nlat", [(0, 4), (20, 32), (63, 96)])
+@pytest.mark.parametrize("lmax,nlat", [(0, 4), (20, 32), (63, 96), (20, 33)])
 def test_plan_tables_are_packed(lmax, nlat):
-    # (L+1)(L+2)/2 rows of nlat values per table: no dense (nlat, L+1, L+1) layout
+    # (L+1)(L+2)/2 rows of ceil(nlat/2) northern values per table: no dense
+    # (nlat, L+1, L+1) layout and no southern rows
     plan = spharm.build_plan(build_grid(GridSpec(nlat=nlat, nlon=2 * nlat)), lmax)
-    rows = (lmax + 1) * (lmax + 2) // 2
-    assert plan.plm.shape == plan.dplm.shape == (rows, nlat)
-    assert plan.plm.nbytes + plan.dplm.nbytes == 2 * 8 * nlat * rows
+    rows, north = (lmax + 1) * (lmax + 2) // 2, (nlat + 1) // 2
+    assert plan.plm.shape == plan.dplm.shape == (rows, north)
+    assert plan.plm.nbytes + plan.dplm.nbytes == 2 * 8 * north * rows
 
 
 def test_analyze_constant(plan20):
@@ -99,7 +153,9 @@ def test_round_trip_random_coefficients(plan20):
 
 
 def _legendre_all_orders(plan, tables):
-    """Dense Pbar_l^m for m = -L..L, shape (nlat, L+1, 2L+1); Pbar_l^-m = (-1)^m Pbar_l^m."""
+    """Dense Pbar_l^m for m = -L..L, shape (nlat, L+1, 2L+1); Pbar_l^-m = (-1)^m Pbar_l^m.
+
+    ``tables`` is packed over every grid row (see :func:`_all_rows`)."""
     L = plan.lmax
     ms = np.arange(-L, L + 1)
     dense = np.zeros((plan.grid.nlat, L + 1, 2 * L + 1))
@@ -120,12 +176,13 @@ def _all_orders(c):
     return full
 
 
-def _direct_synthesis(c, plan, tables=None):
+def _direct_synthesis(c, plan, derivative=False):
     """sum a_{l,m} Y_l^m over every order with an explicit longitude sum instead of the FFT.
 
-    ``tables`` replaces ``plan.plm`` (``plan.dplm`` gives the theta derivative).
+    The Legendre functions come from the all-rows tables, with no parity fold;
+    ``derivative`` takes their theta derivative instead.
     """
-    p, ms = _legendre_all_orders(plan, plan.plm if tables is None else tables)
+    p, ms = _legendre_all_orders(plan, _all_rows(plan)[int(derivative)])
     profiles = np.einsum("ilm,lm->im", p, _all_orders(c))
     return profiles @ np.exp(1j * np.outer(ms, plan.grid.phis))
 
@@ -133,34 +190,58 @@ def _direct_synthesis(c, plan, tables=None):
 def _direct_analysis(values, plan):
     """a_{l,m} = sum_i w_i dphi sum_j f conj(Y_l^m) with an explicit longitude sum."""
     g = plan.grid
-    p, ms = _legendre_all_orders(plan, plan.plm)
+    p, ms = _legendre_all_orders(plan, _all_rows(plan)[0])
     spectrum = values @ np.exp(-1j * np.outer(g.phis, ms)) * g.dphi
     return np.einsum("i,ilm,im->lm", g.weights, p, spectrum)
 
 
-def test_longitude_transforms_agree(plan20):
-    # the FFT path against the direct discrete Fourier sum over all orders
-    rng = np.random.default_rng(4)
-    c = spharm.random_real_field(20, rng)
-    f_fft = spharm.synthesize(c, plan20)
-    f_dir = _direct_synthesis(c, plan20)
+def _check_transforms_against_oracle(plan, seed):
+    """synthesize and analyze against the direct all-orders sums, 1e-12 absolute."""
+    c = spharm.random_real_field(plan.lmax, np.random.default_rng(seed))
+    f_fft = spharm.synthesize(c, plan)
+    f_dir = _direct_synthesis(c, plan)
     assert np.max(np.abs(f_fft.values - f_dir)) <= 1e-12
-    a_fft = spharm.analyze(f_fft, plan20)
-    a_dir = _direct_analysis(f_fft.values, plan20)
+    a_fft = spharm.analyze(f_fft, plan)
+    a_dir = _direct_analysis(f_fft.values, plan)
     assert np.max(np.abs(_all_orders(a_fft) - a_dir)) <= 1e-12
 
 
-def test_gradient_matches_direct_oracle(plan20):
-    # both components against the all-orders sum: dPbar/dtheta, and i m a_{l,m};
-    # the gradients reach a few hundred, so the bound is relative to their size
-    rng = np.random.default_rng(6)
-    c = spharm.random_real_field(20, rng)
-    d_theta, d_phi = spharm.synthesize_gradient(c, plan20)
-    ms = np.arange(21)[None, :]
-    c_phi = spharm.SpectralField(20, c.coeffs * (1j * ms))
-    for got, ref in [(d_theta, _direct_synthesis(c, plan20, plan20.dplm)),
-                     (d_phi, _direct_synthesis(c_phi, plan20))]:
+def _check_gradient_against_oracle(plan, seed):
+    """Both gradient components against the all-orders sums: dPbar/dtheta, and
+    i m a_{l,m}; the gradients reach a few hundred, so the bound is relative."""
+    L = plan.lmax
+    c = spharm.random_real_field(L, np.random.default_rng(seed))
+    d_theta, d_phi = spharm.synthesize_gradient(c, plan)
+    c_phi = spharm.SpectralField(L, c.coeffs * (1j * np.arange(L + 1)[None, :]))
+    for got, ref in [(d_theta, _direct_synthesis(c, plan, derivative=True)),
+                     (d_phi, _direct_synthesis(c_phi, plan))]:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_longitude_transforms_agree(plan20):
+    # the FFT path against the direct discrete Fourier sum over all orders
+    _check_transforms_against_oracle(plan20, 4)
+
+
+def test_gradient_matches_direct_oracle(plan20):
+    _check_gradient_against_oracle(plan20, 6)
+
+
+def test_folded_transforms_match_oracle_at_odd_nlat(plan20_odd):
+    # the equator row enters both parity halves of the analysis and the
+    # northern sum of the synthesis; the oracle tables carry no fold
+    _check_transforms_against_oracle(plan20_odd, 4)
+    _check_gradient_against_oracle(plan20_odd, 6)
+
+
+@pytest.mark.parametrize("plan_name", ["plan20", "plan20_odd"])
+def test_folded_analysis_of_a_field_without_symmetry(plan_name, request):
+    # analysis is linear: on arbitrary grid values, which no truncation
+    # describes, the folded projection still equals the direct quadrature sum
+    plan = request.getfixturevalue(plan_name)
+    values = np.random.default_rng(13).standard_normal((plan.grid.nlat, plan.grid.nlon))
+    got = _all_orders(spharm.analyze(ScalarField(plan.grid, values), plan))
+    assert np.max(np.abs(got - _direct_analysis(values, plan))) <= 1e-12
 
 
 def test_fused_gradients_match_single_field_calls(plan20):
@@ -242,8 +323,8 @@ def test_synthesize_plan_too_small():
 
 def _per_order_synthesis(c, plan):
     """synthesize without the zonal shortcut: one GEMM per order, then the irfft."""
-    profiles = spharm._order_profiles([c], plan, (plan.plm,))
-    return spharm._longitude_synthesis(profiles, plan.grid.nlon)[0]
+    profiles = spharm._order_profiles([c], plan, plan.plm_blocks)
+    return spharm._longitude_synthesis(profiles, plan.grid, (None,))[0]
 
 
 @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "plain"])

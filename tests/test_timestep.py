@@ -222,6 +222,47 @@ def test_zonal_evolve_never_transforms_the_bracket(count_transforms, count_order
     assert series.drift[-1] > 0.0
 
 
+@pytest.mark.parametrize("zonal", [False, True], ids=["random", "zonal"])
+def test_evolve_synthesizes_once_per_recorded_state(zonal, monkeypatch):
+    # the initial values serve both the drift reference and the first record
+    calls = []
+    real = spharm.synthesize
+    monkeypatch.setattr(spharm, "synthesize", lambda c, plan: calls.append(1) or real(c, plan))
+    L = 12
+    omega = random_zonal(L, 4) if zonal else spharm.random_real_field(L, np.random.default_rng(4))
+    cfg = EvolutionConfig(nu=0.01, dt=5e-3, steps=3, lmax=L)
+    series = evolve(omega, cfg)
+    assert len(calls) == cfg.steps + 1
+    assert series.drift[0] == 0.0
+
+
+def test_transform_grid_longitudes_are_2k_or_3_2k():
+    # nlon is the smaller of 2^k and 3 * 2^k reaching 3L+1 (dealiased) or 2L+1
+    sizes = sorted(n for k in range(3, 13) for n in (2**k, 3 * 2 ** (k - 1)))
+    for need in range(1, 3000):
+        assert timestep._fft_size(need) == min(n for n in sizes if n >= need), need
+    for lmax, dealias, nlon in [(10, True, 32), (10, False, 24), (24, True, 96), (24, False, 64),
+                                (31, True, 96), (63, True, 192), (127, True, 384),
+                                (127, False, 256)]:
+        assert timestep.transform_plan_for(lmax, dealias).grid.nlon == nlon
+
+
+ZONALITY_LMAX = (10, 15, 24, 31, 63, 127)
+
+
+@pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "plain"])
+@pytest.mark.parametrize("lmax", ZONALITY_LMAX)
+def test_vortex_pair_projection_stays_zonal(lmax, dealias):
+    # the rfft of a constant row is exactly zero off the mean at every nlon the
+    # rule picks (not at 400 or 480), so the projection is exactly zonal and
+    # exactly real: the zonal shortcuts of drift-sweep depend on this
+    omega, plan = timestep.project_vortex_pair(exact.VortexPairParams(k1=-1.7), lmax, dealias)
+    assert not omega.coeffs[:, 1:].any()
+    assert not omega.coeffs[:, 0].imag.any()
+    assert np.max(np.abs(omega.coeffs)) > 0.1
+    assert plan.grid.nlon in {2**k for k in range(3, 12)} | {3 * 2**k for k in range(2, 11)}
+
+
 def test_rhs_rejects_mean_vorticity_of_a_non_zonal_field():
     # the transform path reaches the same check through invert_poisson
     omega = with_coeff(spharm.random_real_field(10, np.random.default_rng(2)), 0, 0, 1e-3)
