@@ -106,10 +106,9 @@ def cmd_checks(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _initial_condition(spec: str, lmax: int, p, dealias: bool):
+def _initial_condition(spec: str, lmax: int, p):
     if spec == "basic":
-        coeffs, _ = timestep.project_vortex_pair(p, lmax, dealias)
-        return coeffs
+        return timestep.project_vortex_pair(p, lmax)
     if spec.startswith("harmonic:"):
         try:
             l_str, m_str = spec.split(":", 1)[1].split(",")
@@ -131,7 +130,7 @@ def cmd_evolve(args) -> int:
         dealias=not args.no_dealias,
     )
     p = exact.VortexPairParams(k1=args.k1, k2=args.k2)
-    omega0 = _initial_condition(args.init, args.lmax, p, cfg.dealias)
+    omega0 = _initial_condition(args.init, args.lmax, p)
     series = timestep.evolve(omega0, cfg)
     out = _out_dir(args)
     timestep.write_time_series(series, os.path.join(out, "timeseries.csv"))

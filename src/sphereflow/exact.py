@@ -69,11 +69,6 @@ class VortexPairParams:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
 
-    @property
-    def gauss_admissible(self) -> bool:
-        """Whether the total vorticity over the sphere vanishes (k2 = 0)."""
-        return self.k2 == 0.0
-
 
 def _check_interior(theta: np.ndarray) -> None:
     if not np.all(np.isfinite(theta)):

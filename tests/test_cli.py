@@ -91,6 +91,14 @@ def test_evolve_basic_inviscid_zero_drift(tmp_path):
     assert np.max(drift) <= 1e-12
 
 
+def test_evolve_rejects_offset_vortex_pair(tmp_path, capsys):
+    # a_{0,0} = k2 sqrt(4 pi) != 0 violates the Gauss constraint at the first tendency
+    out = tmp_path / "out"
+    assert main(["evolve", "--init", "basic", "--k2", "0.5", "--out", str(out)]) == 2
+    assert "violates the zero-total-vorticity constraint" in capsys.readouterr().err
+    assert not (out / "timeseries.csv").exists()
+
+
 def test_evolve_from_spectral_file(tmp_path):
     path = tmp_path / "ic.csv"
     spharm.write_spectral_field(spharm.real_single_mode(3, 2, 1), path)

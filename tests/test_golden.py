@@ -16,6 +16,11 @@ became mirrored about the equator and nlon became the smaller of 2^k and
 max_omega and drift are maxima over the transform grid's nodes, so both
 moved by 2.5% there; ``golden_file_l24_nlon128.csv`` keeps the series
 written on 128 longitudes, and the run on that grid must still match it.
+
+``golden_basic_l31`` was re-pinned again when the vortex pair's initial
+spectrum became its closed form instead of a Gauss quadrature of the
+log-singular profile; its columns now follow the exact RK4 amplification of
+that spectrum to rounding.
 """
 
 from pathlib import Path

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,7 +133,7 @@ def test_dealiased_bracket_conserves_energy(lmax, seed):
 def test_rhs_of_zonal_projection_is_pure_viscous():
     # zonal data: the advection bracket vanishes identically, so the
     # inviscid tendency is exactly zero and the viscous one purely diagonal
-    omega, plan = timestep.project_vortex_pair(P1, 31)
+    omega, plan = timestep.project_vortex_pair(P1, 31), timestep.transform_plan_for(31, True)
     inviscid = rhs(omega, EvolutionConfig(nu=0.0, dt=1e-3, steps=1, lmax=31), plan)
     assert np.max(np.abs(inviscid.coeffs)) == 0.0
     nu = 0.02
@@ -172,10 +173,8 @@ ZONAL_CASES = [("pair", L, d) for L in (15, 31, 63) for d in (True, False)] + [(
 
 @pytest.mark.parametrize("kind,lmax,dealias", ZONAL_CASES)
 def test_zonal_shortcut_equals_transform_path(kind, lmax, dealias, count_transforms):
-    if kind == "pair":
-        omega, plan = timestep.project_vortex_pair(P1, lmax, dealias)
-    else:
-        omega, plan = random_zonal(lmax, 5), timestep.transform_plan_for(lmax, dealias)
+    plan = timestep.transform_plan_for(lmax, dealias)
+    omega = timestep.project_vortex_pair(P1, lmax) if kind == "pair" else random_zonal(lmax, 5)
     full = _transform_bracket(omega, plan)
     assert not full.any()
     del count_transforms[:]
@@ -215,7 +214,7 @@ def test_zonal_evolve_never_transforms_the_bracket(count_transforms, count_order
     real = spharm.invert_poisson
     monkeypatch.setattr(spharm, "invert_poisson", lambda omega: solves.append(1) or real(omega))
     cfg = EvolutionConfig(nu=0.01, dt=5e-3, steps=4, lmax=15)
-    series = evolve(timestep.project_vortex_pair(P1, 15)[0], cfg)
+    series = evolve(timestep.project_vortex_pair(P1, 15), cfg)
     assert count_transforms == []
     assert count_order_profiles == []
     assert solves == []
@@ -253,14 +252,88 @@ ZONALITY_LMAX = (10, 15, 24, 31, 63, 127)
 @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "plain"])
 @pytest.mark.parametrize("lmax", ZONALITY_LMAX)
 def test_vortex_pair_projection_stays_zonal(lmax, dealias):
-    # the rfft of a constant row is exactly zero off the mean at every nlon the
-    # rule picks (not at 400 or 480), so the projection is exactly zonal and
-    # exactly real: the zonal shortcuts of drift-sweep depend on this
-    omega, plan = timestep.project_vortex_pair(exact.VortexPairParams(k1=-1.7), lmax, dealias)
+    # the closed-form spectrum is exactly zonal and exactly real, and the rule
+    # picks only nlon at which the rfft of a constant row is exactly zero off
+    # the mean (not 400 or 480), so the analysis of a zonal field stays zonal
+    # too: the zonal shortcuts of drift-sweep depend on both
+    omega = timestep.project_vortex_pair(exact.VortexPairParams(k1=-1.7), lmax)
+    plan = timestep.transform_plan_for(lmax, dealias)
     assert not omega.coeffs[:, 1:].any()
     assert not omega.coeffs[:, 0].imag.any()
+    assert not omega.coeffs[0::2, 0].any()  # a_{0,0} too: the total vorticity is exactly zero
     assert np.max(np.abs(omega.coeffs)) > 0.1
     assert plan.grid.nlon in {2**k for k in range(3, 12)} | {3 * 2**k for k in range(2, 11)}
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3, 7])
+def test_vortex_pair_spectrum_matches_mpmath_quadrature(l):
+    # a_{l,0} = 2 pi int_{-1}^{1} omega Ybar_l^0 dx with omega = k2 - k1 artanh(x);
+    # tanh-sinh quadrature resolves the log singularities at x = -1 and 1
+    p = exact.VortexPairParams(k1=-1.7, k2=0.5)
+    with mpmath.workdps(30):
+        ybar = lambda x: mpmath.sqrt((2 * l + 1) / (4 * mpmath.pi)) * mpmath.legendre(l, x)
+        omega = lambda x: p.k2 - p.k1 * mpmath.atanh(x)
+        ref = float(2 * mpmath.pi * mpmath.quad(lambda x: omega(x) * ybar(x), [-1, 0, 1]))
+    got = timestep.project_vortex_pair(p, 8).coeffs[l, 0]
+    if l > 0 and l % 2 == 0:
+        assert abs(ref) <= 1e-20
+        assert got == 0.0
+    else:
+        assert abs(got.real - ref) <= 1e-14 * abs(ref)
+
+
+def test_vortex_pair_spectrum_samples_no_grid(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed form must not sample or analyse a grid field")
+
+    for module, name in [(spharm, "analyze"), (spharm, "build_plan"), (exact, "vorticity_field"),
+                         (timestep, "transform_plan_for")]:
+        monkeypatch.setattr(module, name, forbidden)
+    omega = timestep.project_vortex_pair(P1, 31)
+    assert omega.coeffs[1, 0].real == pytest.approx(-math.sqrt(12.0 * math.pi) / 2.0, rel=1e-15)
+
+
+def test_vortex_pair_streamfunction_converges_to_the_dilogarithm_profile():
+    # -lap(psi) = omega in coefficients, synthesised on the band; the closed-form
+    # psi is gauged to 0 at the north pole, the spectral one to zero mean, and
+    # the mean of the closed form is its equator value k1 pi^2 / 12
+    errors = []
+    for lmax, bound in [(31, 2e-5), (63, 2e-6), (127, 2e-7)]:
+        plan = timestep.transform_plan_for(lmax, True)
+        band = plan.grid.band_mask(*DEFAULT_BAND)
+        psi = spharm.synthesize(spharm.invert_poisson(timestep.project_vortex_pair(P1, lmax)), plan)
+        psi_band = psi.values[band, 0] + P1.k1 * math.pi**2 / 12.0
+        errors.append(np.max(np.abs(psi_band - exact.streamfunction_profile(plan.grid.thetas[band], P1))))
+        assert errors[-1] <= bound, lmax
+    assert errors[0] > errors[1] > errors[2]
+
+
+@pytest.mark.parametrize("lmax,expected", [(15, 0.0201), (31, 0.0106), (63, 0.0047)])
+def test_steadiness_drift_matches_exact_viscous_decay(lmax, expected):
+    # a zonal state decays as a_l exp(-nu l(l+1) t); with the vortex pair's
+    # closed-form a_l, the band drift of that decay on the plan's band nodes is
+    # the drift steadiness_drift must report, up to the RK4 error
+    nu, t_final = 0.01, 0.5  # the drift-sweep parameters
+    ls = np.arange(lmax + 1, dtype=float)
+    odd = ls % 2 == 1
+    a = np.zeros(lmax + 1)
+    a[odd] = -P1.k1 * np.sqrt(4.0 * np.pi * (2.0 * ls[odd] + 1.0)) / (ls[odd] * (ls[odd] + 1.0))
+    grid = timestep.transform_plan_for(lmax, True).grid
+    thetas = grid.thetas[grid.band_mask(*DEFAULT_BAND)]
+    y = np.array([sph_harm_y(l, 0, thetas, 0.0).real for l in range(lmax + 1)])  # [l, theta]
+    exact_drift = np.max(np.abs(((np.exp(-nu * ls * (ls + 1.0) * t_final) - 1.0) * a) @ y))
+    assert exact_drift == pytest.approx(expected, abs=5e-5)
+    assert abs(steadiness_drift(P1, lmax, nu, t_final) / exact_drift - 1.0) <= 1e-4
+
+
+def test_zonal_drift_run_never_takes_the_l2_norm(monkeypatch):
+    # a_{0,0} is exactly 0, so the Gauss check of every zonal tendency returns
+    # before it forms the norm
+    calls = []
+    real = spharm.l2_norm
+    monkeypatch.setattr(spharm, "l2_norm", lambda c: calls.append(1) or real(c))
+    assert steadiness_drift(P1, 15, 0.01, 0.5) > 0.0
+    assert calls == []
 
 
 def test_rhs_rejects_mean_vorticity_of_a_non_zonal_field():
