@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import exact, operators, spharm, timestep, verify
-from .grid import DEFAULT_BAND, GridSpec, ScalarField, build_grid, write_scalar_field
+from .grid import DEFAULT_BAND, GridSpec, ScalarField, band_max, build_grid, write_scalar_field
 
 
 def _add_grid_args(p, nlat=64, nlon=128):
@@ -70,11 +70,11 @@ def cmd_residual(args) -> int:
     psi = exact.streamfunction_field(p, grid)
     omega = exact.vorticity_field(p, grid)
     res = operators.ns_residual(psi, omega, args.nu)
+    band = (args.band_lo, args.band_hi)
+    res_max = band_max(res, band)
     out = _out_dir(args)
     write_scalar_field(res, os.path.join(out, "residual.csv"))
-    band = (args.band_lo, args.band_hi)
-    band_max = float(np.max(np.abs(res.values[grid.band_mask(*band), :])))
-    print(f"max |residual| on band [{band[0]:.17g}, {band[1]:.17g}]: {band_max:.17g}")
+    print(f"max |residual| on band [{band[0]:.17g}, {band[1]:.17g}]: {res_max:.17g}")
     return 0
 
 
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, timestep.InstabilityError) as exc:
+    except (ValueError, timestep.InstabilityError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
     except OSError as exc:

@@ -131,15 +131,29 @@ class ScalarField:
             )
 
 
+def band_max(field: ScalarField, band) -> float:
+    """Max |value| over the rows with band[0] <= theta <= band[1]; ValueError if none."""
+    mask = field.grid.band_mask(*band)
+    if not mask.any():
+        raise ValueError("band contains no grid rows")
+    return float(np.max(np.abs(field.values[mask, :])))
+
+
 def cell_weights(thetas: np.ndarray) -> np.ndarray:
     """Exact sin(theta) cell masses for arbitrary interior colatitudes.
 
     Cell edges are placed halfway between neighbouring nodes, with the first
-    and last edges at the poles, so the weights telescope to exactly 2.
+    and last edges at the poles, so the weights telescope to exactly 2.  On
+    nodes mirrored bit for bit, theta_{n-1-i} = pi - theta_i, each southern
+    weight is a copy of its northern mirror.
     """
     t = np.asarray(thetas, dtype=np.float64)
     edges = np.concatenate(([0.0], 0.5 * (t[1:] + t[:-1]), [np.pi]))
-    return np.cos(edges[:-1]) - np.cos(edges[1:])
+    w = np.cos(edges[:-1]) - np.cos(edges[1:])
+    nh = t.size // 2
+    if np.array_equal(t[::-1][:nh], np.pi - t[:nh]):
+        w[t.size - nh :] = w[:nh][::-1]
+    return w
 
 
 def build_grid(spec: GridSpec) -> Grid:

@@ -113,15 +113,17 @@ def real_single_mode(lmax: int, l: int, m: int, amplitude: float = 1.0) -> Spect
     return SpectralField(lmax, arr)
 
 
-def random_real_field(lmax: int, rng: np.random.Generator, zero_mean: bool = True) -> SpectralField:
-    """Random coefficients of a real field: real a_{l,0}, complex a_{l,m} for m >= 1."""
+def random_real_field(lmax: int, rng: np.random.Generator) -> SpectralField:
+    """Random coefficients of a real zero-mean field: real a_{l,0}, complex a_{l,m} for m >= 1.
+
+    a_{0,0} is drawn and discarded, which keeps every other draw from ``rng`` in place.
+    """
     arr = np.zeros((lmax + 1, lmax + 1), dtype=np.complex128)
     for l in range(lmax + 1):
         arr[l, 0] = rng.standard_normal()
         for m in range(1, l + 1):
             arr[l, m] = rng.standard_normal() + 1j * rng.standard_normal()
-    if zero_mean:
-        arr[0, 0] = 0.0
+    arr[0, 0] = 0.0
     return SpectralField(lmax, arr)
 
 

@@ -256,7 +256,6 @@ def steadiness_drift(
     lmax: int,
     nu: float,
     t_final: float,
-    dt: float | None = None,
     dealias: bool = True,
 ) -> float:
     """Band-max drift of the truncated vortex-pair flow after ``t_final``.
@@ -266,19 +265,18 @@ def steadiness_drift(
     vanishes identically and the drift is produced solely by viscosity acting
     on the truncated pole singularities; it vanishes for nu = 0 and shrinks as
     lmax grows.  ``dealias`` picks the transform grid, and with it the band
-    nodes the drift is taken over (see :class:`TimeSeries`).
+    nodes the drift is taken over (see :class:`TimeSeries`).  The RK4 step
+    is min(0.05, half the viscous stability bound, t_final), shortened so
+    that a whole number of steps reaches ``t_final``.
     """
     if p.k2 != 0.0:
         raise ValueError("only the k2 = 0 family is admissible on the sphere")
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
-    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
     if t_final == 0.0:
         return 0.0
-    if dt is None:
-        dt_stable = 0.5 * STABILITY_LIMIT / max(nu * lmax * (lmax + 1), 1e-30)
-        dt = min(0.05, dt_stable, t_final)
+    dt_stable = 0.5 * STABILITY_LIMIT / max(nu * lmax * (lmax + 1), 1e-30)
+    dt = min(0.05, dt_stable, t_final)
     steps = max(1, math.ceil(t_final / dt - 1e-12))
     cfg = EvolutionConfig(nu=nu, dt=t_final / steps, steps=steps, lmax=lmax, dealias=dealias)
     series = evolve(project_vortex_pair(p, lmax), cfg)

@@ -16,8 +16,7 @@ def fit_order(errors, refinement=2.0):
 
 
 def band_max(field, lo=sgrid.DEFAULT_BAND[0], hi=sgrid.DEFAULT_BAND[1]):
-    mask = field.grid.band_mask(lo, hi)
-    return float(np.max(np.abs(field.values[mask, :])))
+    return sgrid.band_max(field, (lo, hi))
 
 
 def zonal_field(grid, profile):

@@ -170,9 +170,7 @@ def test_conformal_identity_and_modulus_ode():
 
 
 def test_profile_relation_identities():
-    report = verify.check_functional_relation_identities(
-        P1, ntheta=4096, nlat_biharmonic=256, tolerance=1e-4
-    )
+    report = verify.check_functional_relation_identities(P1, ntheta=4096, tolerance=1e-4)
     # biharmonic alone, at the stated resolution: psi obeys -lap(psi) = omega
     # by construction, so lap(lap(psi)) reduces to lap(omega)
     g = build_grid(GridSpec(nlat=256, nlon=8))

@@ -10,6 +10,17 @@ from sphereflow import spharm
 from sphereflow.cli import main
 from sphereflow.grid import read_scalar_field
 
+DATA = Path(__file__).parent / "data"
+
+# checks.csv written by the CLI with these arguments; every check keeps its bytes
+CHECKS_PINS = {
+    "checks_default": [],
+    "checks_k1_m2": ["--k1", "-2"],
+    "checks_k1_3": ["--k1", "3"],
+    "checks_uniform_64x32": ["--grid", "uniform", "--nlat", "64", "--nlon", "32"],
+    "checks_phi_exp": ["--phi-model", "exp"],
+}
+
 
 def test_fields_outputs(tmp_path):
     out = tmp_path / "fields"
@@ -52,6 +63,13 @@ def test_checks_reject_inadmissible_family(tmp_path, capsys):
     code = main(["checks", "--k2", "0.5", "--out", str(tmp_path)])
     assert code == 2
     assert "k2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS_PINS))
+def test_checks_csv_is_pinned(tmp_path, name):
+    code = main(["checks", *CHECKS_PINS[name], "--out", str(tmp_path)])
+    assert code == (1 if name == "checks_phi_exp" else 0)
+    assert (tmp_path / "checks.csv").read_bytes() == (DATA / f"{name}.csv").read_bytes()
 
 
 def test_checks_exponential_model_fails(tmp_path):
@@ -261,6 +279,25 @@ def test_residual_rejects_non_finite_viscosity(tmp_path, capsys):
     argv = ["residual", "--nlat", "8", "--nlon", "8", "--nu", "nan", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "viscosity must be finite and nonnegative, got nan" in capsys.readouterr().err
+
+
+def test_residual_band_without_rows_exits_two_before_writing(tmp_path, capsys):
+    # no row of the 8-row Gauss grid lies in [1.0, 1.01]
+    argv = ["residual", "--nlat", "8", "--nlon", "8", "--band-lo", "1.0", "--band-hi", "1.01"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert "band contains no grid rows" in capsys.readouterr().err
+    assert not (tmp_path / "residual.csv").exists()
+
+
+def test_evolve_out_of_memory_exits_one_without_traceback(tmp_path, capsys):
+    # the (L+1)^2 spectrum at L = 1e7 is 1.42 PiB, beyond any address space,
+    # so numpy refuses it before allocating anything
+    argv = ["evolve", "--lmax", "10000000", "--nu", "0", "--steps", "1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 1.42 PiB")
+    assert "Traceback" not in err
+    assert not (tmp_path / "timeseries.csv").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -10,6 +10,7 @@ from sphereflow.grid import (
     Grid,
     GridSpec,
     ScalarField,
+    band_max,
     build_grid,
     cell_weights,
     colatitude_of_mercator,
@@ -157,6 +158,24 @@ def test_cell_weights_telescope_exactly():
     assert float(w.sum()) == pytest.approx(2.0, abs=1e-15)
     g = grid_from_colatitudes(thetas, 8)
     assert g.nlat == 33
+
+
+@pytest.mark.parametrize("equator", [[], [np.pi / 2]], ids=["even", "odd"])
+def test_cell_weights_are_mirrored_on_mirrored_nodes(equator):
+    # chi-uniform nodes mirrored bit for bit: cos of the southern edges rounds
+    # differently from the northern ones, so the weights are copied across
+    north = colatitude_of_mercator(0.01 * np.arange(-300, 0))
+    w = cell_weights(np.concatenate((north, equator, np.pi - north[::-1])))
+    assert np.array_equal(w[::-1], w)
+    assert float(w.sum()) == pytest.approx(2.0, abs=1e-14)
+
+
+def test_band_max_rejects_a_band_without_rows():
+    g = build_grid(GridSpec(nlat=8, nlon=4))
+    f = ScalarField(g, np.ones((8, 4)))
+    assert band_max(f, (0.0, np.pi)) == 1.0
+    with pytest.raises(ValueError, match="band contains no grid rows"):
+        band_max(f, (1.0, 1.01))
 
 
 def test_scalar_field_csv_round_trip(tmp_path):

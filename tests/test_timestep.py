@@ -518,19 +518,10 @@ def test_steadiness_drift_zero_horizon():
     assert steadiness_drift(P1, 31, nu=0.01, t_final=0.0) == 0.0
 
 
-@pytest.mark.parametrize(
-    "t_final,dt,name",
-    [
-        (1.0, -1.0, "dt"),
-        (1.0, math.inf, "dt"),
-        (1.0, 0.0, "dt"),
-        (math.inf, None, "t_final"),
-        (math.nan, None, "t_final"),
-    ],
-)
-def test_steadiness_drift_validates_horizon_and_step(t_final, dt, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        steadiness_drift(P1, 15, nu=0.01, t_final=t_final, dt=dt)
+@pytest.mark.parametrize("t_final", [math.inf, math.nan])
+def test_steadiness_drift_validates_horizon(t_final):
+    with pytest.raises(ValueError, match="^t_final must be finite"):
+        steadiness_drift(P1, 15, nu=0.01, t_final=t_final)
 
 
 def test_steadiness_drift_rejects_offset_family():

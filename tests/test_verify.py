@@ -142,6 +142,15 @@ def test_functional_relation_identities():
     assert report.max_abs_residual < 1e-6
 
 
+def test_functional_relation_builds_no_grid(monkeypatch):
+    # the profile relation samples psi and omega on its own theta nodes only
+    def refuse(spec):
+        raise AssertionError(f"built a {spec.nlat} x {spec.nlon} grid")
+
+    monkeypatch.setattr(verify, "build_grid", refuse)
+    assert verify.check_functional_relation_identities(P1).passed
+
+
 def test_functional_relation_sign_flip_invariance():
     plus = verify.check_functional_relation_identities(P1, ntheta=1024)
     minus = verify.check_functional_relation_identities(
