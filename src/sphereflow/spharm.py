@@ -371,24 +371,31 @@ def _longitude_synthesis(profiles: np.ndarray, grid: Grid, derivatives) -> np.nd
     return values.reshape(-1, grid.nlat, grid.nlon)
 
 
+def _zonal_rows(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    """Rows sum_l a[k, l] Pbar_l^0(cos theta_i) of each order-0 column a[k]: the order-0
+    GEMM of ``_order_profiles`` once per column (a batched one gives other bytes under
+    some BLAS kernels), folded the same way."""
+    g, n, nh = plan.grid, a.shape[1], plan.grid.nlat // 2
+    pairs = np.zeros((a.shape[0], plan.lmax + 1, 2), dtype=np.complex128)  # [k, l, parity]
+    pairs[:, 0:n:2, 0] = a[:, 0::2]
+    pairs[:, 1:n:2, 1] = a[:, 1::2]
+    profile = plan.plm_blocks[0].T @ pairs.view(np.float64)  # E re, E im, O re, O im
+    rows = np.empty((a.shape[0], g.nlat))
+    np.add(profile[..., 0], profile[..., 2], out=rows[:, : profile.shape[1]])
+    np.subtract(profile[:, :nh, 0], profile[:, :nh, 2], out=rows[:, : -nh - 1 : -1])
+    return rows
+
+
 def synthesize(c: SpectralField, plan: TransformPlan) -> ScalarField:
     """Evaluate sum a_{l,m} Y_l^m over all orders -l..l on the plan's grid.
 
     A zonal field (orders m >= 1 exactly zero) within the plan's degree runs only the
-    order-0 GEMM, shaped as in ``_order_profiles``, folds it the same way and repeats
-    each row in longitude: the irfft of a lone mean is exact, so the bytes match the
-    per-order path.
+    order-0 GEMM of :func:`_zonal_rows` and repeats each row in longitude: the irfft
+    of a lone mean is exact, so the bytes match the per-order path.
     """
     if not c.coeffs[:, 1:].any() and c.lmax <= plan.lmax:
-        g, n, nh = plan.grid, c.lmax + 1, plan.grid.nlat // 2
-        pairs = np.zeros((plan.lmax + 1, 2), dtype=np.complex128)  # [l, parity]
-        pairs[0:n:2, 0] = c.coeffs[0::2, 0]
-        pairs[1:n:2, 1] = c.coeffs[1::2, 0]
-        profile = plan.plm_blocks[0].T @ pairs.view(np.float64)  # E re, E im, O re, O im
-        rows = np.empty(g.nlat)
-        np.add(profile[:, 0], profile[:, 2], out=rows[: profile.shape[0]])
-        np.subtract(profile[:nh, 0], profile[:nh, 2], out=rows[: -nh - 1 : -1])
-        return ScalarField(g, np.repeat(rows[:, None], g.nlon, axis=1))
+        rows = _zonal_rows(c.coeffs[None, :, 0], plan)[0]
+        return ScalarField(plan.grid, np.repeat(rows[:, None], plan.grid.nlon, axis=1))
     profiles = _order_profiles([c], plan, plan.plm_blocks)
     return ScalarField(plan.grid, _longitude_synthesis(profiles, plan.grid, (None,))[0])
 

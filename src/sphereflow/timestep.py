@@ -3,18 +3,25 @@
     d omega / dt = -(1/sin) J(psi, omega) + nu * lap(omega),
     -lap(psi) = omega,
 
-advanced with classical fourth-order Runge-Kutta.  The advection bracket is
-evaluated pseudo-spectrally: derivative fields are synthesized on a
-quadrature grid, multiplied pointwise and projected back.  With the default
-two-thirds (transform-grid) dealiasing the projected bracket integrals are
-exact, so the inviscid semi-discrete system conserves energy and enstrophy
-up to time-integration error.  The viscous term is exact in coefficients.
+advanced with the integrating-factor (Lawson) fourth-order Runge-Kutta
+scheme (Lawson 1967, SIAM J. Numer. Anal. 4:372; Cox & Matthews 2002,
+J. Comput. Phys. 176:430).  Stepping v_{l,m} = exp(nu l(l+1) t) a_{l,m}
+instead of a_{l,m} applies the viscous factor E_l = exp(-nu l(l+1) dt)
+exactly, and the four RK4 stages evaluate only the advection bracket.  At
+nu = 0, E = 1 exactly and the step is classical RK4, sum for sum.  The
+bracket is evaluated pseudo-spectrally: derivative fields are synthesized
+on a quadrature grid, multiplied pointwise and projected back.  With the
+default two-thirds (transform-grid) dealiasing the projected bracket
+integrals are exact, so the inviscid semi-discrete system conserves energy
+and enstrophy up to time-integration error.
 
-A zonal state (every order m >= 1 exactly zero) skips the Poisson solve and
-the bracket transforms: both phi-derivatives vanish, so the transform path
-would return exact zeros, and RK4 keeps zonal stages zonal.  Its per-step
-diagnostics synthesise order 0 only (see :func:`sphereflow.spharm.synthesize`),
-with the same bytes as the per-order path.  Transform plans are cached
+A zonal state (every order m >= 1 exactly zero) has an exactly zero bracket
+(both phi-derivatives vanish on every node), so the scheme gives
+a_l(t_k) = a_l(0) E_l^k.  :func:`evolve` tests zonality once, on the initial
+state, and then runs no stage: it forms the states as sequential products
+and synthesises each with the order-0 product of
+:func:`sphereflow.spharm.synthesize`, with the same bytes the stepped loop
+would give.  Transform plans are cached
 per (lmax, dealias), at most :data:`PLAN_CACHE_SIZE` per process (about
 12.7 MB of northern-row Legendre tables each at lmax 127, on a 192 x 384
 grid).  A step whose grid maximum of |omega| is not finite, or more than
@@ -37,7 +44,10 @@ import numpy as np
 from . import exact, spharm
 from .grid import DEFAULT_BAND, GridSpec, ScalarField, build_grid
 
-#: Explicit-scheme stability bound enforced on dt * nu * lmax * (lmax + 1).
+#: Bound enforced on dt * nu * lmax * (lmax + 1), kept unchanged from the classical RK4
+#: scheme.  The integrating factor makes the viscous decay exact and stable at any step,
+#: so the bound no longer guards stability; it still rejects a step over which the top
+#: degree decays by more than exp(-2.8).
 STABILITY_LIMIT = 2.8
 
 
@@ -135,13 +145,10 @@ def _advection_coeffs(omega: spharm.SpectralField, plan: spharm.TransformPlan) -
     """Spectral image of (1/sin) J(psi, omega).
 
     Raises :class:`~sphereflow.spharm.GaussConstraintError` through
-    :func:`~sphereflow.spharm.check_gauss_constraint` when the mean vorticity
-    is nonzero.  A zonal omega (every order m >= 1 exactly zero) runs only that
-    check and returns zeros: both phi-derivatives vanish, so the bracket does.
+    :func:`~sphereflow.spharm.invert_poisson` when the mean vorticity is
+    nonzero.  A zonal omega gives exact zeros: both phi-derivatives vanish on
+    every node.
     """
-    if not omega.coeffs[:, 1:].any():
-        spharm.check_gauss_constraint(omega)
-        return np.zeros_like(omega.coeffs)
     psi = spharm.invert_poisson(omega)
     (om_t, ps_t), (om_p, ps_p) = spharm._synthesize_gradients([omega, psi], plan)
     s = plan.grid.sin_thetas[:, None]
@@ -159,8 +166,9 @@ def rhs(
 ) -> spharm.SpectralField:
     """Spectral tendency -(1/sin) J(psi, omega) + nu * lap(omega).
 
-    This is the tendency :func:`evolve` steps.  A nonzero mean vorticity
-    raises :class:`~sphereflow.spharm.GaussConstraintError`.
+    :func:`evolve` integrates this tendency, with the viscous part applied
+    exactly.  A nonzero mean vorticity raises
+    :class:`~sphereflow.spharm.GaussConstraintError`.
     """
     if plan is None:
         plan = transform_plan_for(cfg.lmax, cfg.dealias)
@@ -172,64 +180,145 @@ def rhs(
     return spharm.SpectralField(plan.lmax, tend)
 
 
-def _energy_enstrophy(omega: spharm.SpectralField):
-    power = spharm.power(omega)
-    inv = np.zeros(omega.lmax + 1)
-    inv[1:] = 1.0 / -spharm.laplacian_eigenvalues(omega.lmax)[1:, 0]
-    energy = 0.5 * float(inv @ power.sum(axis=1))
+@functools.lru_cache(maxsize=None)
+def _inverse_eigenvalues(lmax: int) -> np.ndarray:
+    """Read-only 1 / (l(l+1)) for l >= 1, and 0 for l = 0."""
+    inv = np.zeros(lmax + 1)
+    inv[1:] = 1.0 / -spharm.laplacian_eigenvalues(lmax)[1:, 0]
+    inv.setflags(write=False)
+    return inv
+
+
+def _energy_enstrophy(power: np.ndarray):
+    """Energy and enstrophy of one state from its :func:`~sphereflow.spharm.power` array."""
+    energy = 0.5 * float(_inverse_eigenvalues(power.shape[0] - 1) @ power.sum(axis=1))
     enstrophy = 0.5 * float(power.sum())
     return energy, enstrophy
 
 
+def _viscous_factors(cfg: EvolutionConfig):
+    """E = exp(-nu l(l+1) dt) and E_half = exp(-nu l(l+1) dt / 2), shape (lmax+1, 1).
+
+    Both are exactly 1 at nu = 0.
+    """
+    z = cfg.nu * cfg.dt * spharm.laplacian_eigenvalues(cfg.lmax)
+    return np.exp(z), np.exp(0.5 * z)
+
+
+def _check_growth(max_omega: np.ndarray, k: int, t: float) -> None:
+    """Raise :class:`InstabilityError` unless max_omega[k] <= 10 * max_omega[0]."""
+    # written so that a NaN maximum fails the test too
+    if not max_omega[k] <= 10.0 * max_omega[0]:
+        raise InstabilityError(
+            f"|omega| reached {max_omega[k]:.3e} at t={t:.4g}, not finite or "
+            f"more than ten times the initial {max_omega[0]:.3e}"
+        )
+
+
+def _lawson_steps(omega0, cfg, plan, band, times):
+    """Lawson RK4 steps, recording the diagnostics of each state as it is formed.
+
+    With u = exp(nu l(l+1) t) a, E and E_half from :func:`_viscous_factors`
+    and N the bracket term -(1/sin) J(psi, omega), one step from c is
+
+        k1 = N(c),                    k2 = N(E_half (c + dt/2 k1)),
+        k3 = N(E_half c + dt/2 k2),   k4 = N(E c + dt E_half k3),
+        c' = E c + dt/6 (E k1 + 2 E_half k2 + 2 E_half k3 + k4),
+
+    summed in the order of the classical scheme, which it equals at nu = 0.
+    """
+    n, L, dt = cfg.steps, cfg.lmax, cfg.dt
+    energy, enstrophy, max_omega, drift = np.empty((4, n + 1))
+    E, E_half = _viscous_factors(cfg)
+    values0 = spharm.synthesize(omega0, plan).values
+
+    def record(k: int, omega: spharm.SpectralField, values: np.ndarray) -> None:
+        energy[k], enstrophy[k] = _energy_enstrophy(spharm.power(omega))
+        max_omega[k] = float(np.max(np.abs(values)))
+        drift[k] = float(np.max(np.abs(values[band] - values0[band])))
+        _check_growth(max_omega, k, times[k])
+
+    # each stage's coefficients are freed once its field holds a copy, before the transforms
+    field = functools.partial(spharm.SpectralField, L)
+    omega = omega0
+    record(0, omega, values0)
+    for k in range(1, n + 1):
+        c = omega.coeffs
+        k1 = -_advection_coeffs(omega, plan)
+        k2 = -_advection_coeffs(field(E_half * (c + 0.5 * dt * k1)), plan)
+        k3 = -_advection_coeffs(field(E_half * c + 0.5 * dt * k2), plan)
+        k4 = -_advection_coeffs(field(E * c + dt * (E_half * k3)), plan)
+        c = E * c + (dt / 6.0) * (E * k1 + 2.0 * E_half * k2 + 2.0 * E_half * k3 + k4)
+        omega = spharm.SpectralField(L, c)
+        record(k, omega, spharm.synthesize(omega, plan).values)
+    return energy, enstrophy, max_omega, drift
+
+
+#: Doubles in the zonal path's power layouts: they hold max(1, this // (lmax+1)^2) states.
+ZONAL_BLOCK_DOUBLES = 1 << 16
+
+
+def _zonal_decay(omega0, cfg, plan, band, times):
+    """The Lawson steps of a zonal state, with no stage and no bracket.
+
+    Every bracket of a zonal state is exactly zero, so step k multiplies
+    a_l by E_l alone: the states are the sequential products a_l(0) E_l^k,
+    formed by ``cumprod`` with the bytes of :func:`_lawson_steps`.  Their
+    diagnostics are computed a block of states at a time, each as the
+    stepped loop computes it, and so with its bytes: one order-0 GEMM per
+    state (:func:`~sphereflow.spharm._zonal_rows`), one dot product per state
+    for the energy, and the enstrophy summed over the power laid out as
+    :func:`~sphereflow.spharm.power` lays it out.
+    """
+    n, L = cfg.steps, cfg.lmax
+    E, _ = _viscous_factors(cfg)
+    factors = np.empty((n + 1, L + 1), dtype=np.complex128)
+    factors[0] = omega0.coeffs[:, 0]
+    factors[1:] = E[:, 0]
+    a = np.cumprod(factors, axis=0)  # [step, l]
+    energy, enstrophy, max_omega, drift = np.empty((4, n + 1))
+    size = max(1, ZONAL_BLOCK_DOUBLES // (L + 1) ** 2)
+    power = np.zeros((size, L + 1, L + 1))  # [state, l, m]: only order 0 is nonzero
+    for lo in range(0, n + 1, size):
+        block = a[lo : lo + size]
+        count = block.shape[0]
+        span = slice(lo, lo + count)
+        power[:count, :, 0] = level = np.abs(block) ** 2  # the power's sum over m, per degree
+        energy[span] = 0.5 * np.vecdot(level, _inverse_eigenvalues(L))
+        enstrophy[span] = 0.5 * power[:count].reshape(count, -1).sum(axis=1)
+        rows = spharm._zonal_rows(block, plan)  # constant in longitude: the grid maxima are theirs
+        if lo == 0:
+            reference = rows[0, band]
+        max_omega[span] = np.max(np.abs(rows), axis=1)
+        drift[span] = np.max(np.abs(rows[:, band] - reference), axis=1)
+    unstable = np.flatnonzero(~(max_omega <= 10.0 * max_omega[0]))
+    if unstable.size:
+        _check_growth(max_omega, unstable[0], times[unstable[0]])
+    return energy, enstrophy, max_omega, drift
+
+
 def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
-    """March ``steps`` RK4 steps from ``omega0`` and record diagnostics.
+    """March ``steps`` Lawson RK4 steps from ``omega0`` and record diagnostics.
 
     Energy is 0.5 * int |grad psi|^2 dA and enstrophy 0.5 * int omega^2 dA,
-    both evaluated from coefficients.  Each stage calls :func:`rhs`, so a
-    nonzero mean vorticity raises
+    both evaluated from coefficients.  A nonzero mean vorticity raises
     :class:`~sphereflow.spharm.GaussConstraintError` before the first step.
-    Raises :class:`InstabilityError` when the grid maximum of |omega| is not
-    finite or exceeds ten times its initial value.
+    A zonal ``omega0`` takes :func:`_zonal_decay`, which runs no stage; any
+    other takes the stepped loop of :func:`_lawson_steps`.  Raises
+    :class:`InstabilityError` when the grid maximum of |omega| is not finite
+    or exceeds ten times its initial value.
     """
     plan = transform_plan_for(cfg.lmax, cfg.dealias)
     if omega0.lmax != cfg.lmax:
         raise ValueError("initial condition truncation does not match the config")
+    spharm.check_gauss_constraint(omega0)
     in_band = np.flatnonzero(plan.grid.band_mask(*DEFAULT_BAND))
     band = slice(in_band[0], in_band[-1] + 1)  # one run of rows: the colatitudes increase
-    n = cfg.steps
-    times = cfg.dt * np.arange(n + 1)
-    energy = np.empty(n + 1)
-    enstrophy = np.empty(n + 1)
-    max_omega = np.empty(n + 1)
-    drift = np.empty(n + 1)
-
-    values0 = spharm.synthesize(omega0, plan).values
-    initial_max = float(np.max(np.abs(values0)))
-
-    def record(k: int, omega: spharm.SpectralField, values: np.ndarray) -> None:
-        energy[k], enstrophy[k] = _energy_enstrophy(omega)
-        max_omega[k] = float(np.max(np.abs(values)))
-        drift[k] = float(np.max(np.abs(values[band] - values0[band])))
-        # written so that a NaN maximum fails the test too
-        if not max_omega[k] <= 10.0 * initial_max:
-            raise InstabilityError(
-                f"|omega| reached {max_omega[k]:.3e} at t={times[k]:.4g}, not finite or "
-                f"more than ten times the initial {initial_max:.3e}"
-            )
-
-    omega = omega0
-    record(0, omega, values0)
-    L, dt = cfg.lmax, cfg.dt
-    # a blow-up overflows inside the stages; record reports it as InstabilityError
+    times = cfg.dt * np.arange(cfg.steps + 1)
+    march = _lawson_steps if omega0.coeffs[:, 1:].any() else _zonal_decay
+    # a blow-up overflows inside the stages; _check_growth reports it as InstabilityError
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n + 1):
-            c = omega.coeffs
-            k1 = rhs(omega, cfg, plan).coeffs
-            k2 = rhs(spharm.SpectralField(L, c + 0.5 * dt * k1), cfg, plan).coeffs
-            k3 = rhs(spharm.SpectralField(L, c + 0.5 * dt * k2), cfg, plan).coeffs
-            k4 = rhs(spharm.SpectralField(L, c + dt * k3), cfg, plan).coeffs
-            omega = spharm.SpectralField(L, c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-            record(k, omega, spharm.synthesize(omega, plan).values)
+        energy, enstrophy, max_omega, drift = march(omega0, cfg, plan, band, times)
     return TimeSeries(
         times=times, energy=energy, enstrophy=enstrophy, max_omega=max_omega, drift=drift
     )
@@ -264,10 +353,12 @@ def steadiness_drift(
     :func:`project_vortex_pair`, which is zonal, so the advection bracket
     vanishes identically and the drift is produced solely by viscosity acting
     on the truncated pole singularities; it vanishes for nu = 0 and shrinks as
-    lmax grows.  ``dealias`` picks the transform grid, and with it the band
-    nodes the drift is taken over (see :class:`TimeSeries`).  The RK4 step
-    is min(0.05, half the viscous stability bound, t_final), shortened so
-    that a whole number of steps reaches ``t_final``.
+    lmax grows.  :func:`evolve` runs no stage for it, so the drift is that of
+    the exact decay a_l exp(-nu l(l+1) t_final), to rounding.  ``dealias``
+    picks the transform grid, and with it the band nodes the drift is taken
+    over (see :class:`TimeSeries`).  The step is min(0.05, half the
+    :data:`STABILITY_LIMIT` bound, t_final), shortened so that a whole number
+    of steps reaches ``t_final``.
     """
     if p.k2 != 0.0:
         raise ValueError("only the k2 = 0 family is admissible on the sphere")

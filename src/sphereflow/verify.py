@@ -5,10 +5,12 @@ Each check evaluates one identity on a pole-excluding colatitude band
 an immutable :class:`CheckReport`.  Checks are independent and pure.
 
 Numerical differentiation of profile functions uses centered fourth-order
-stencils with step 1e-4.  At that step the cancellation floor of a
-second-derivative stencil in double precision sits near 3e-8 times the
-function scale, so profile callables are evaluated on extended-precision
-abscissae; callables built from numpy ufuncs preserve that dtype.
+stencils with step 1e-4; the check suite scales it by |k1|, the scale of the
+vorticity values Phi is differentiated in.  At that step the cancellation
+floor of a second-derivative stencil in double precision sits near 3e-8
+times the function scale, so profile callables are evaluated on
+extended-precision abscissae; callables built from numpy ufuncs preserve
+that dtype.
 """
 
 from __future__ import annotations
@@ -81,10 +83,10 @@ def check_vanishing_jacobian(
 
 
 def check_harmonic_vorticity(
-    omega: ScalarField, band=DEFAULT_BAND, tolerance: float = 1e-6
+    omega: ScalarField, band=DEFAULT_BAND, tolerance: float = 1e-6, scale: float = 1.0
 ) -> CheckReport:
-    """Max |lap(omega)| over the band; the vortex-pair profile is harmonic there."""
-    residual = band_max(operators.laplace_beltrami_fd(omega), band)
+    """Max |lap(omega)| / ``scale`` over the band; the vortex-pair profile is harmonic there."""
+    residual = band_max(operators.laplace_beltrami_fd(omega), band) / scale
     g = omega.grid
     return CheckReport.from_residual(
         "harmonic-vorticity", residual, g.nlat, g.nlon, band, tolerance
@@ -304,8 +306,12 @@ def run_all_checks(
     """Run the whole check suite at one resolution, in a fixed report order.
 
     ``phi_model`` selects the candidate gradient-modulus function: "cosh2"
-    (the one realized by the flow, passes) or "exp" (the pure exponential,
-    which must fail with residual -2).
+    (the one realized by the flow, passes) or "exp" (the pure exponential
+    1.5 k1^2 exp(omega / (2 |k1|)), which must fail with residual -2).  The
+    suite does not depend on the scale of k1: omega and
+    Phi = k1^2 cosh^2(omega/k1) are functions of omega/k1, so the harmonic
+    residual is divided by |k1| and the Phi stencil takes the step
+    1e-4 * |k1|; at k1 = +-1 both are unchanged.
     """
     if p is None:
         p = exact.VortexPairParams(k1=1.0, k2=0.0)
@@ -326,15 +332,15 @@ def run_all_checks(
     if phi_model == "cosh2":
         phi_func = lambda w: exact.gradient_modulus_function(w, p)
     elif phi_model == "exp":
-        phi_func = lambda w: 1.5 * np.exp(0.5 * w)
+        phi_func = lambda w: 1.5 * p.k1**2 * np.exp(0.5 * w / abs(p.k1))
     else:
         raise ValueError(f"unknown phi model {phi_model!r}")
     chi_lo = max(mercator_of_colatitude(band[0]), -10.0)
     chi_hi = min(mercator_of_colatitude(band[1]), 10.0)
     reports = [
         check_vanishing_jacobian(psi, omega, band=band),
-        check_harmonic_vorticity(omega, band=band),
-        check_gradient_modulus_ode(phi_func, omega_core),
+        check_harmonic_vorticity(omega, band=band, scale=abs(p.k1)),
+        check_gradient_modulus_ode(phi_func, omega_core, step=_FD_STEP * abs(p.k1)),
         check_mercator_obstruction(np.linspace(chi_lo, chi_hi, 101)),
         check_functional_relation_identities(p, ntheta=ntheta, band=core),
         check_zonal_consistency(p),

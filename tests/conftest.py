@@ -7,6 +7,10 @@ from sphereflow import grid as sgrid
 from sphereflow import spharm
 
 
+#: Vortex-pair strengths k1 from 1e-3 to 1e6 in half decades, both signs
+K1_SWEEP = [s * 10.0**e for e in (-3.0, -1.5, 0.0, 1.5, 3.0, 4.5, 6.0) for s in (1.0, -1.0)]
+
+
 def fit_order(errors, refinement=2.0):
     """Least-squares convergence order from errors at successively refined grids."""
     e = np.asarray(errors, dtype=float)
@@ -54,6 +58,22 @@ def with_coeff(c, l, m, value):
     return spharm.SpectralField(c.lmax, arr)
 
 
+def rossby_haurwitz(lmax, l, A, seed):
+    """Solid-body rotation psi = A cos(theta) plus a random real wave of degree l in orders 2 and 3.
+
+    omega = 2 A cos(theta) gives a_{1,0} = 2 A sqrt(4 pi / 3).  This is a
+    Rossby-Haurwitz wave in the non-rotating frame (Haurwitz 1940, J. Mar.
+    Res. 3:254): the bracket is nonzero but maps degree l onto itself,
+    d a_{l,m}/dt = -i m c a_{l,m} with c = A (1 - 2 / (l(l+1))), and leaves
+    a_{1,0} constant.  Returns the field and c.
+    """
+    rng = np.random.default_rng(seed)
+    arr = np.zeros((lmax + 1, lmax + 1), dtype=np.complex128)
+    arr[1, 0] = 2.0 * A * math.sqrt(4.0 * math.pi / 3.0)
+    arr[l, 2:4] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return spharm.SpectralField(lmax, arr), A * (1.0 - 2.0 / (l * (l + 1.0)))
+
+
 def order_weights(lmax):
     """1 for m = 0 and 2 for m >= 1: a sum over the stored m >= 0 with these
     weights equals the sum over all orders -l..l of a real field."""
@@ -84,3 +104,18 @@ def count_order_profiles(monkeypatch):
 
     monkeypatch.setattr(spharm, "_order_profiles", counted)
     return calls
+
+
+@pytest.fixture
+def recorded_states(monkeypatch):
+    """Every field passed to ``spharm.synthesize``: for a non-zonal ``evolve``,
+    the initial state and then the state after each step."""
+    states = []
+    real = spharm.synthesize
+
+    def recorded(c, plan):
+        states.append(c)
+        return real(c, plan)
+
+    monkeypatch.setattr(spharm, "synthesize", recorded)
+    return states

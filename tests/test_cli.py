@@ -10,6 +10,8 @@ from sphereflow import spharm
 from sphereflow.cli import main
 from sphereflow.grid import read_scalar_field
 
+from conftest import K1_SWEEP
+
 DATA = Path(__file__).parent / "data"
 
 # checks.csv written by the CLI with these arguments; every check keeps its bytes
@@ -70,6 +72,12 @@ def test_checks_csv_is_pinned(tmp_path, name):
     code = main(["checks", *CHECKS_PINS[name], "--out", str(tmp_path)])
     assert code == (1 if name == "checks_phi_exp" else 0)
     assert (tmp_path / "checks.csv").read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("k1", K1_SWEEP)
+def test_checks_pass_at_every_scale_of_k1(tmp_path, k1):
+    # omega and Phi are functions of omega/k1, so no check may depend on |k1|
+    assert main(["checks", f"--k1={k1!r}", "--out", str(tmp_path)]) == 0
 
 
 def test_checks_exponential_model_fails(tmp_path):

@@ -8,7 +8,10 @@ seeded non-zonal field of degree 20 (``random_real_field`` with seed 20240,
 scaled to coefficient L2 norm 4), run at lmax 24 so the file is padded.
 
 The two zonal references (``golden_basic_l31``, ``golden_harmonic30_l24_no_dealias``)
-must match byte for byte; the zonal shortcuts are exact.
+must match byte for byte; the zonal path forms its states as exact products.
+``golden_file_l24_inviscid`` runs the same file at nu = 0, where the
+integrating factor is exactly 1: it was written by the classical RK4 step,
+and the Lawson step reproduces its bytes.
 
 ``golden_basic_l31`` and ``golden_file_l24`` were re-pinned when the grids
 became mirrored about the equator and nlon became the smaller of 2^k and
@@ -19,8 +22,12 @@ written on 128 longitudes, and the run on that grid must still match it.
 
 ``golden_basic_l31`` was re-pinned again when the vortex pair's initial
 spectrum became its closed form instead of a Gauss quadrature of the
-log-singular profile; its columns now follow the exact RK4 amplification of
-that spectrum to rounding.
+log-singular profile.
+
+Every viscous reference (all but ``golden_file_l24_inviscid``) was re-pinned
+when the stepping became integrating-factor RK4: the viscous decay is now
+applied exactly, and ``golden_basic_l31`` follows the exact decay
+a_l exp(-nu l(l+1) t) of that spectrum to rounding.
 """
 
 from pathlib import Path
@@ -48,6 +55,9 @@ CASES = {
     "golden_harmonic30_l24_no_dealias": [
         "--init", "harmonic:3,0", "--lmax", "24", "--nu", "0.01", "--dt", "0.005", "--steps", "100",
         "--no-dealias",
+    ],
+    "golden_file_l24_inviscid": [
+        "--init", f"file:{IC}", "--lmax", "24", "--nu", "0", "--dt", "0.005", "--steps", "100",
     ],
     "golden_file_l24_no_dealias": [
         "--init", f"file:{IC}", "--lmax", "24", "--nu", "0.002", "--dt", "0.005", "--steps", "100",

@@ -17,7 +17,15 @@ from sphereflow.timestep import (
     write_time_series,
 )
 
-from conftest import coeff, fit_order, order_weights, random_zonal, with_coeff, zeros
+from conftest import (
+    coeff,
+    fit_order,
+    order_weights,
+    random_zonal,
+    rossby_haurwitz,
+    with_coeff,
+    zeros,
+)
 
 P1 = exact.VortexPairParams(k1=1.0, k2=0.0)
 
@@ -168,19 +176,34 @@ def count_transforms(monkeypatch):
     return calls
 
 
-ZONAL_CASES = [("pair", L, d) for L in (15, 31, 63) for d in (True, False)] + [("random", 20, True)]
+# lmax 127 takes more than one block of states in the zonal path (ZONAL_BLOCK_DOUBLES)
+ZONAL_CASES = [("pair", L, d) for L in (15, 31, 63) for d in (True, False)] + [
+    ("random", 20, True),
+    ("pair", 127, True),
+]
 
 
 @pytest.mark.parametrize("kind,lmax,dealias", ZONAL_CASES)
-def test_zonal_shortcut_equals_transform_path(kind, lmax, dealias, count_transforms):
+def test_zonal_shortcut_equals_transform_path(kind, lmax, dealias, count_transforms, monkeypatch):
+    # the bracket of a zonal state is exactly zero through the transform
+    # path, so evolve's zonal path, which runs no stage, must give the bytes
+    # of the Lawson loop forced through that path on the same state
     plan = timestep.transform_plan_for(lmax, dealias)
     omega = timestep.project_vortex_pair(P1, lmax) if kind == "pair" else random_zonal(lmax, 5)
     full = _transform_bracket(omega, plan)
     assert not full.any()
+    assert np.array_equal(timestep._advection_coeffs(omega, plan), full)
+    dt = min(0.05, 1.4 / (0.01 * lmax * (lmax + 1)))  # the step rule of steadiness_drift
+    cfg = EvolutionConfig(nu=0.01, dt=dt, steps=6, lmax=lmax, dealias=dealias)
     del count_transforms[:]
-    short = timestep._advection_coeffs(omega, plan)
+    short = evolve(omega, cfg)
     assert count_transforms == []
-    assert np.array_equal(short, full)
+    monkeypatch.setattr(timestep, "_zonal_decay", timestep._lawson_steps)
+    stepped = evolve(omega, cfg)
+    assert count_transforms == [lmax] * (4 * cfg.steps)
+    for name in ("energy", "enstrophy", "max_omega", "drift"):
+        assert np.array_equal(getattr(short, name), getattr(stepped, name)), name
+    assert short.drift[-1] > 1e-4
 
 
 def test_near_zonal_field_takes_transform_path(count_transforms):
@@ -208,30 +231,66 @@ def test_tendency_keeps_zonal_coefficients_real(zonal):
 
 
 def test_zonal_evolve_never_transforms_the_bracket(count_transforms, count_order_profiles, monkeypatch):
-    # nor solves a Poisson problem, nor runs the per-order synthesis loop in
-    # its per-step diagnostics
-    solves = []
-    real = spharm.invert_poisson
-    monkeypatch.setattr(spharm, "invert_poisson", lambda omega: solves.append(1) or real(omega))
+    # nor solves a Poisson problem, nor evaluates a tendency, nor runs the
+    # per-order synthesis loop in its diagnostics
+    solves, tendencies = [], []
+    real_solve, real_bracket = spharm.invert_poisson, timestep._advection_coeffs
+    monkeypatch.setattr(spharm, "invert_poisson", lambda omega: solves.append(1) or real_solve(omega))
+    monkeypatch.setattr(
+        timestep,
+        "_advection_coeffs",
+        lambda omega, plan: tendencies.append(1) or real_bracket(omega, plan),
+    )
     cfg = EvolutionConfig(nu=0.01, dt=5e-3, steps=4, lmax=15)
     series = evolve(timestep.project_vortex_pair(P1, 15), cfg)
     assert count_transforms == []
     assert count_order_profiles == []
     assert solves == []
+    assert tendencies == []
     assert series.drift[-1] > 0.0
+
+
+def test_zonal_evolve_checks_gauss_before_recording(monkeypatch):
+    # a zonal omega0 with a nonzero mean fails the one Gauss check on omega0,
+    # before any state is formed or synthesised
+    calls = []
+    for name in ("synthesize", "_zonal_rows"):
+        real = getattr(spharm, name)
+        monkeypatch.setattr(spharm, name, lambda *args, real=real: calls.append(1) or real(*args))
+    omega = with_coeff(random_zonal(12, 3), 0, 0, 0.5)
+    with pytest.raises(spharm.GaussConstraintError, match="zero-total-vorticity"):
+        evolve(omega, EvolutionConfig(nu=0.01, dt=5e-3, steps=3, lmax=12))
+    assert calls == []
+
+
+def test_zonal_evolve_guards_a_non_finite_state():
+    # the instability guard still runs on the no-stage path
+    omega = with_coeff(random_zonal(12, 3), 5, 0, math.nan)
+    with pytest.raises(InstabilityError, match="not finite"):
+        evolve(omega, EvolutionConfig(nu=0.01, dt=5e-3, steps=3, lmax=12))
 
 
 @pytest.mark.parametrize("zonal", [False, True], ids=["random", "zonal"])
 def test_evolve_synthesizes_once_per_recorded_state(zonal, monkeypatch):
-    # the initial values serve both the drift reference and the first record
-    calls = []
-    real = spharm.synthesize
-    monkeypatch.setattr(spharm, "synthesize", lambda c, plan: calls.append(1) or real(c, plan))
+    # the initial values serve both the drift reference and the first record;
+    # a zonal run synthesises its states through the order-0 rows alone
+    calls = {"synthesize": 0, "_zonal_rows": 0}
+    for name in calls:
+        real = getattr(spharm, name)
+
+        def counted(c, plan, name=name, real=real):
+            calls[name] += 1 if name == "synthesize" else len(c)
+            return real(c, plan)
+
+        monkeypatch.setattr(spharm, name, counted)
     L = 12
     omega = random_zonal(L, 4) if zonal else spharm.random_real_field(L, np.random.default_rng(4))
     cfg = EvolutionConfig(nu=0.01, dt=5e-3, steps=3, lmax=L)
     series = evolve(omega, cfg)
-    assert len(calls) == cfg.steps + 1
+    if zonal:
+        assert calls == {"synthesize": 0, "_zonal_rows": cfg.steps + 1}
+    else:
+        assert calls == {"synthesize": cfg.steps + 1, "_zonal_rows": 0}
     assert series.drift[0] == 0.0
 
 
@@ -312,7 +371,8 @@ def test_vortex_pair_streamfunction_converges_to_the_dilogarithm_profile():
 def test_steadiness_drift_matches_exact_viscous_decay(lmax, expected):
     # a zonal state decays as a_l exp(-nu l(l+1) t); with the vortex pair's
     # closed-form a_l, the band drift of that decay on the plan's band nodes is
-    # the drift steadiness_drift must report, up to the RK4 error
+    # the drift steadiness_drift must report, to rounding: the integrating
+    # factor applies that decay exactly
     nu, t_final = 0.01, 0.5  # the drift-sweep parameters
     ls = np.arange(lmax + 1, dtype=float)
     odd = ls % 2 == 1
@@ -323,7 +383,7 @@ def test_steadiness_drift_matches_exact_viscous_decay(lmax, expected):
     y = np.array([sph_harm_y(l, 0, thetas, 0.0).real for l in range(lmax + 1)])  # [l, theta]
     exact_drift = np.max(np.abs(((np.exp(-nu * ls * (ls + 1.0) * t_final) - 1.0) * a) @ y))
     assert exact_drift == pytest.approx(expected, abs=5e-5)
-    assert abs(steadiness_drift(P1, lmax, nu, t_final) / exact_drift - 1.0) <= 1e-4
+    assert abs(steadiness_drift(P1, lmax, nu, t_final) / exact_drift - 1.0) <= 1e-12
 
 
 def test_zonal_drift_run_never_takes_the_l2_norm(monkeypatch):
@@ -344,17 +404,21 @@ def test_rhs_rejects_mean_vorticity_of_a_non_zonal_field():
         rhs(omega, cfg)
 
 
-def _rk4_factor(nu, dt, ls):
-    """Per-step RK4 amplification R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, z = -nu l(l+1) dt."""
-    z = -nu * ls * (ls + 1.0) * dt
+def _rk4_factor(z):
+    """Per-step classical RK4 amplification R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
     return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+
+def _decay_factor(nu, dt, ls):
+    """Per-step viscous factor E = exp(-nu l(l+1) dt), which the integrating factor applies exactly."""
+    return np.exp(-nu * ls * (ls + 1.0) * dt)
 
 
 @pytest.mark.parametrize("lmax,dealias", [(15, True), (31, True), (63, True), (24, False)])
 def test_zonal_rk4_matches_exact_amplification(lmax, dealias, monkeypatch):
-    # a zonal state has no bracket, so RK4 multiplies each a_l by R(z_l) per
-    # step: energy, enstrophy and the band drift of steadiness_drift (at the
-    # drift-sweep parameters) follow in closed form
+    # a zonal state has no bracket, so each Lawson RK4 step multiplies a_l by
+    # exactly E_l: energy, enstrophy and the band drift of steadiness_drift
+    # (at the drift-sweep parameters) follow in closed form
     nu, t_final = 0.01, 0.5
     runs = []
     real = timestep.evolve
@@ -368,7 +432,7 @@ def test_zonal_rk4_matches_exact_amplification(lmax, dealias, monkeypatch):
     (omega0, cfg, series), = runs
     a = omega0.coeffs[:, 0].real
     ls = np.arange(lmax + 1, dtype=float)
-    gain = _rk4_factor(nu, cfg.dt, ls) ** np.arange(cfg.steps + 1)[:, None]  # [step, l]
+    gain = _decay_factor(nu, cfg.dt, ls) ** np.arange(cfg.steps + 1)[:, None]  # [step, l]
     inv = np.zeros(lmax + 1)
     inv[1:] = 1.0 / (ls[1:] * (ls[1:] + 1.0))
     enstrophy = 0.5 * (gain * a) ** 2 @ np.ones(lmax + 1)
@@ -395,8 +459,8 @@ def _degree_field(lmax, seed):
 @pytest.mark.parametrize("lmax", [63, 127])
 def test_single_degree_field_through_the_transform_path(lmax, count_transforms):
     # psi = omega / (l(l+1)) makes J(psi, omega) vanish, so the inviscid
-    # tendency is rounding only and RK4 scales the field by R(z)^n exactly;
-    # unlike a zonal field, this runs the full bracket transforms
+    # tendency is rounding only and Lawson RK4 scales the field by E^n
+    # exactly; unlike a zonal field, this runs the full bracket transforms
     omega = _degree_field(lmax, lmax)
     scale = np.max(np.abs(omega.coeffs))
     inviscid = rhs(omega, EvolutionConfig(nu=0.0, dt=1e-2, steps=1, lmax=lmax))
@@ -404,7 +468,7 @@ def test_single_degree_field_through_the_transform_path(lmax, count_transforms):
     assert np.max(np.abs(inviscid.coeffs)) <= 1e-13 * scale
     cfg = EvolutionConfig(nu=1e-4, dt=1e-2, steps=3, lmax=lmax)
     series = evolve(omega, cfg)
-    gain = _rk4_factor(cfg.nu, cfg.dt, float(lmax)) ** np.arange(cfg.steps + 1)
+    gain = _decay_factor(cfg.nu, cfg.dt, float(lmax)) ** np.arange(cfg.steps + 1)
     assert gain[-1] < 0.99
     for got, ref in [(series.enstrophy, series.enstrophy[0] * gain**2),
                      (series.energy, series.energy[0] * gain**2),
@@ -457,20 +521,62 @@ def test_evolve_zero_initial_condition():
 @pytest.mark.parametrize("l,m,nu", [(2, 1, 0.01), (5, 3, 0.05), (8, 2, 0.02)])
 def test_single_mode_viscous_decay(l, m, nu):
     # exact linear decay exp(-nu l(l+1) t): the bracket vanishes for an
-    # eigenpair, so time integration is the only error source
+    # eigenpair, and the integrating factor applies the decay exactly, so
+    # only rounding is left
     cfg = EvolutionConfig(nu=nu, dt=1e-3, steps=1000, lmax=max(l, 4))
     series = evolve(spharm.real_single_mode(max(l, 4), l, m), cfg)
     ratio = math.sqrt(series.enstrophy[-1] / series.enstrophy[0])
-    assert ratio == pytest.approx(math.exp(-nu * l * (l + 1)), rel=1e-4)
+    assert ratio == pytest.approx(math.exp(-nu * l * (l + 1)), rel=1e-12)
 
 
-def test_rk4_temporal_order():
+RH_CASES = [(15, True), (31, True), (63, True), (127, True), (24, False)]
+
+
+@pytest.mark.parametrize("A", [1.0, -0.7])
+@pytest.mark.parametrize("lmax,dealias", RH_CASES)
+def test_rossby_haurwitz_tendency_is_exact(lmax, dealias, A):
+    # solid-body rotation plus one degree l: the bracket is nonzero and maps
+    # degree l onto itself, d a_{l,m}/dt = -i m c a_{l,m}, leaving a_{1,0}
+    # alone; its sign and its theta/phi roles are both visible here
+    cfg = EvolutionConfig(nu=0.0, dt=1e-3, steps=1, lmax=lmax, dealias=dealias)
+    for l in (3, 7):
+        omega, c = rossby_haurwitz(lmax, l, A, seed=l)
+        tend = rhs(omega, cfg).coeffs
+        expected = np.zeros_like(tend)
+        expected[l] = -1j * np.arange(lmax + 1) * c * omega.coeffs[l]
+        scale = np.max(np.abs(expected))
+        assert scale > 0.5
+        assert np.max(np.abs(tend - expected)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("A", [1.0, -0.7])
+@pytest.mark.parametrize("lmax,dealias", [(31, True), (24, False)])
+def test_rossby_haurwitz_steps_follow_rk4_amplification(lmax, dealias, A, recorded_states):
+    # each inviscid step multiplies a_{l,m} by R(-i m c dt), and a_{1,0} stays put
+    l, dt, n = 5, 0.02, 50
+    omega, c = rossby_haurwitz(lmax, l, A, seed=1)
+    evolve(omega, EvolutionConfig(nu=0.0, dt=dt, steps=n, lmax=lmax, dealias=dealias))
+    assert len(recorded_states) == n + 1
+    final = recorded_states[-1].coeffs
+    expected = np.zeros_like(final)
+    expected[1, 0] = omega.coeffs[1, 0]
+    expected[l] = _rk4_factor(-1j * np.arange(lmax + 1) * c * dt) ** n * omega.coeffs[l]
+    assert np.max(np.abs(final[l] - omega.coeffs[l])) > 0.5  # the wave has moved
+    assert np.max(np.abs(final - expected)) <= 1e-13 * np.max(np.abs(omega.coeffs))
+
+
+def test_rk4_temporal_order(recorded_states):
+    # the phase error of a Rossby-Haurwitz wave: the integrating factor makes
+    # viscous decay exact, so the RK4 order shows in the bracket alone
+    l, t_final = 4, 1.0
+    omega, c = rossby_haurwitz(15, l, 1.0, seed=4)
+    wave = np.exp(-1j * np.arange(16) * c * t_final) * omega.coeffs[l]
     errors = []
     for dt in (0.1, 0.05, 0.025):
-        cfg = EvolutionConfig(nu=0.5, dt=dt, steps=round(1.0 / dt), lmax=4)
-        series = evolve(spharm.real_single_mode(4, 2, 0), cfg)
-        ratio = math.sqrt(series.enstrophy[-1] / series.enstrophy[0])
-        errors.append(abs(ratio - math.exp(-3.0)))
+        del recorded_states[:]
+        evolve(omega, EvolutionConfig(nu=0.0, dt=dt, steps=round(t_final / dt), lmax=15))
+        errors.append(np.max(np.abs(recorded_states[-1].coeffs[l] - wave)))
+    assert errors[-1] > 1e-9  # well above rounding
     assert fit_order(errors) == pytest.approx(4.0, abs=0.3)
 
 
@@ -529,12 +635,43 @@ def test_steadiness_drift_rejects_offset_family():
         steadiness_drift(exact.VortexPairParams(1.0, 0.5), 31, nu=0.0, t_final=1.0)
 
 
+def test_viscous_rossby_haurwitz_converges_at_fourth_order(recorded_states):
+    # with viscosity a_{1,0} decays as exp(-2 nu t), which the integrating
+    # factor applies exactly, so c(t) = c(0) exp(-2 nu t) and
+    # a_{l,m}(t) = a_{l,m}(0) exp(-nu l(l+1) t - i m c(0) (1 - exp(-2 nu t)) / (2 nu))
+    l, nu, t_final = 4, 0.05, 1.0
+    omega, c = rossby_haurwitz(15, l, 1.0, seed=4)
+    phase = c * (1.0 - math.exp(-2.0 * nu * t_final)) / (2.0 * nu)
+    wave = np.exp(-nu * l * (l + 1) * t_final - 1j * np.arange(16) * phase) * omega.coeffs[l]
+    errors = []
+    for dt in (0.1, 0.05, 0.025):
+        del recorded_states[:]
+        steps = round(t_final / dt)
+        evolve(omega, EvolutionConfig(nu=nu, dt=dt, steps=steps, lmax=15))
+        final = recorded_states[-1].coeffs
+        decay = _decay_factor(nu, dt, 1.0) ** steps
+        assert abs(final[1, 0] / (decay * omega.coeffs[1, 0]) - 1.0) <= 1e-13
+        errors.append(np.max(np.abs(final[l] - wave)))
+    assert errors[-1] > 1e-10  # well above rounding
+    assert fit_order(errors) == pytest.approx(4.0, abs=0.3)
+
+
 def test_instability_guard_triggers():
-    # dt*nu*l(l+1) = 2.79 sits just beyond the RK4 real-axis limit 2.785:
-    # the top mode grows ~0.7% per step until the guard fires near step 325
-    cfg = EvolutionConfig(nu=1.0, dt=2.79 / 72.0, steps=500, lmax=8)
-    with pytest.raises(InstabilityError):
-        evolve(spharm.real_single_mode(8, 8, 0), cfg)
+    # an inviscid step far beyond the advective limit: |omega| grows from
+    # 11 to about 6.6e3 in two steps
+    omega = spharm.random_real_field(8, np.random.default_rng(3))
+    cfg = EvolutionConfig(nu=0.0, dt=0.5, steps=200, lmax=8)
+    with pytest.raises(InstabilityError, match="more than ten times"):
+        evolve(omega, cfg)
+
+
+def test_stiff_viscous_mode_decays_exactly():
+    # dt*nu*l(l+1) = 2.79 sits beyond the classical RK4 real-axis limit
+    # 2.785; the integrating factor applies exp(-2.79) per step exactly
+    cfg = EvolutionConfig(nu=1.0, dt=2.79 / 72.0, steps=100, lmax=8)
+    series = evolve(spharm.real_single_mode(8, 8, 1), cfg)
+    ratio = math.sqrt(series.enstrophy[-1] / series.enstrophy[0])
+    assert ratio == pytest.approx(math.exp(-2.79 * 100), rel=1e-12)
 
 
 def test_time_series_csv(tmp_path):

@@ -7,7 +7,7 @@ from sphereflow import exact, spharm, verify
 from sphereflow.grid import DEFAULT_BAND, GridSpec, ScalarField, build_grid
 from sphereflow.operators import mercator_laplacian
 
-from conftest import zonal_field
+from conftest import K1_SWEEP, zonal_field
 
 P1 = exact.VortexPairParams(k1=1.0, k2=0.0)
 
@@ -194,6 +194,27 @@ def test_run_all_checks_exponential_model_fails():
     by_name = {r.name: r for r in reports}
     assert not by_name["gradient-modulus-ode"].passed
     assert by_name["harmonic-vorticity"].passed
+
+
+@pytest.mark.parametrize("k1", K1_SWEEP)
+def test_gradient_modulus_ode_rejects_wrong_models_at_every_scale(k1, monkeypatch):
+    # the stencil step scales with |k1|, and with it the check keeps its
+    # sensitivity: a pure exponential leaves |residual| 2, and a relative
+    # perturbation 1e-6 omega/k1 of the true Phi leaves about 3e-6, at every k1
+    p = exact.VortexPairParams(k1=k1)
+
+    def ode_report(model):
+        reports = verify.run_all_checks(nlat=64, nlon=16, ntheta=1024, p=p, phi_model=model)
+        return {r.name: r for r in reports}["gradient-modulus-ode"]
+
+    assert ode_report("exp").max_abs_residual == pytest.approx(2.0, rel=1e-6)
+    real = exact.gradient_modulus_function
+    monkeypatch.setattr(
+        exact, "gradient_modulus_function", lambda w, q: real(w, q) * (1.0 + 1e-6 * w / q.k1)
+    )
+    perturbed = ode_report("cosh2")
+    assert not perturbed.passed
+    assert perturbed.max_abs_residual > 1e-6
 
 
 def test_report_csv_format(tmp_path):
