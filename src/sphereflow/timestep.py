@@ -19,7 +19,7 @@ A zonal state (every order m >= 1 exactly zero) has an exactly zero bracket
 (both phi-derivatives vanish on every node), so the scheme gives
 a_l(t_k) = a_l(0) E_l^k.  :func:`evolve` tests zonality once, on the initial
 state, and then runs no stage: it forms the states as sequential products
-and synthesises each with the order-0 product of
+and synthesises them in one call with the order-0 product of
 :func:`sphereflow.spharm.synthesize`, with the same bytes the stepped loop
 would give.  Transform plans are cached
 per (lmax, dealias), at most :data:`PLAN_CACHE_SIZE` per process (about
@@ -189,10 +189,13 @@ def _inverse_eigenvalues(lmax: int) -> np.ndarray:
     return inv
 
 
-def _energy_enstrophy(power: np.ndarray):
-    """Energy and enstrophy of one state from its :func:`~sphereflow.spharm.power` array."""
-    energy = 0.5 * float(_inverse_eigenvalues(power.shape[0] - 1) @ power.sum(axis=1))
-    enstrophy = 0.5 * float(power.sum())
+def _energy_enstrophy(level: np.ndarray):
+    """Energy and enstrophy from the per-degree power ``spharm.power(c).sum(axis=1)``.
+
+    Degrees run along the last axis, so a stack of states gives one value per state.
+    """
+    energy = 0.5 * np.vecdot(level, _inverse_eigenvalues(level.shape[-1] - 1))
+    enstrophy = 0.5 * np.sum(level, axis=-1)
     return energy, enstrophy
 
 
@@ -233,7 +236,7 @@ def _lawson_steps(omega0, cfg, plan, band, times):
     values0 = spharm.synthesize(omega0, plan).values
 
     def record(k: int, omega: spharm.SpectralField, values: np.ndarray) -> None:
-        energy[k], enstrophy[k] = _energy_enstrophy(spharm.power(omega))
+        energy[k], enstrophy[k] = _energy_enstrophy(spharm.power(omega).sum(axis=1))
         max_omega[k] = float(np.max(np.abs(values)))
         drift[k] = float(np.max(np.abs(values[band] - values0[band])))
         _check_growth(max_omega, k, times[k])
@@ -254,21 +257,16 @@ def _lawson_steps(omega0, cfg, plan, band, times):
     return energy, enstrophy, max_omega, drift
 
 
-#: Doubles in the zonal path's power layouts: they hold max(1, this // (lmax+1)^2) states.
-ZONAL_BLOCK_DOUBLES = 1 << 16
-
-
 def _zonal_decay(omega0, cfg, plan, band, times):
     """The Lawson steps of a zonal state, with no stage and no bracket.
 
     Every bracket of a zonal state is exactly zero, so step k multiplies
     a_l by E_l alone: the states are the sequential products a_l(0) E_l^k,
     formed by ``cumprod`` with the bytes of :func:`_lawson_steps`.  Their
-    diagnostics are computed a block of states at a time, each as the
-    stepped loop computes it, and so with its bytes: one order-0 GEMM per
-    state (:func:`~sphereflow.spharm._zonal_rows`), one dot product per state
-    for the energy, and the enstrophy summed over the power laid out as
-    :func:`~sphereflow.spharm.power` lays it out.
+    diagnostics take the stepped loop's arithmetic, and so its bytes: the
+    per-degree power of a zonal state is |a_l|^2, and
+    :func:`~sphereflow.spharm._zonal_rows` runs the order-0 GEMM of
+    :func:`~sphereflow.spharm.synthesize` once per state.
     """
     n, L = cfg.steps, cfg.lmax
     E, _ = _viscous_factors(cfg)
@@ -276,21 +274,10 @@ def _zonal_decay(omega0, cfg, plan, band, times):
     factors[0] = omega0.coeffs[:, 0]
     factors[1:] = E[:, 0]
     a = np.cumprod(factors, axis=0)  # [step, l]
-    energy, enstrophy, max_omega, drift = np.empty((4, n + 1))
-    size = max(1, ZONAL_BLOCK_DOUBLES // (L + 1) ** 2)
-    power = np.zeros((size, L + 1, L + 1))  # [state, l, m]: only order 0 is nonzero
-    for lo in range(0, n + 1, size):
-        block = a[lo : lo + size]
-        count = block.shape[0]
-        span = slice(lo, lo + count)
-        power[:count, :, 0] = level = np.abs(block) ** 2  # the power's sum over m, per degree
-        energy[span] = 0.5 * np.vecdot(level, _inverse_eigenvalues(L))
-        enstrophy[span] = 0.5 * power[:count].reshape(count, -1).sum(axis=1)
-        rows = spharm._zonal_rows(block, plan)  # constant in longitude: the grid maxima are theirs
-        if lo == 0:
-            reference = rows[0, band]
-        max_omega[span] = np.max(np.abs(rows), axis=1)
-        drift[span] = np.max(np.abs(rows[:, band] - reference), axis=1)
+    energy, enstrophy = _energy_enstrophy(np.abs(a) ** 2)
+    rows = spharm._zonal_rows(a, plan)  # constant in longitude: the grid maxima are theirs
+    max_omega = np.max(np.abs(rows), axis=1)
+    drift = np.max(np.abs(rows[:, band] - rows[0, band]), axis=1)
     unstable = np.flatnonzero(~(max_omega <= 10.0 * max_omega[0]))
     if unstable.size:
         _check_growth(max_omega, unstable[0], times[unstable[0]])
@@ -302,22 +289,31 @@ def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
 
     Energy is 0.5 * int |grad psi|^2 dA and enstrophy 0.5 * int omega^2 dA,
     both evaluated from coefficients.  A nonzero mean vorticity raises
-    :class:`~sphereflow.spharm.GaussConstraintError` before the first step.
-    A zonal ``omega0`` takes :func:`_zonal_decay`, which runs no stage; any
-    other takes the stepped loop of :func:`_lawson_steps`.  Raises
-    :class:`InstabilityError` when the grid maximum of |omega| is not finite
-    or exceeds ten times its initial value.
+    :class:`~sphereflow.spharm.GaussConstraintError`, and an initial energy
+    or enstrophy that overflows to infinity raises ValueError, before the
+    first step.  A zonal ``omega0`` takes :func:`_zonal_decay`, which runs
+    no stage; any other takes the stepped loop of :func:`_lawson_steps`.
+    Raises :class:`InstabilityError` when the grid maximum of |omega| is not
+    finite (a NaN coefficient in ``omega0`` included) or exceeds ten times
+    its initial value.
     """
     plan = transform_plan_for(cfg.lmax, cfg.dealias)
     if omega0.lmax != cfg.lmax:
         raise ValueError("initial condition truncation does not match the config")
-    spharm.check_gauss_constraint(omega0)
     in_band = np.flatnonzero(plan.grid.band_mask(*DEFAULT_BAND))
     band = slice(in_band[0], in_band[-1] + 1)  # one run of rows: the colatitudes increase
     times = cfg.dt * np.arange(cfg.steps + 1)
     march = _lawson_steps if omega0.coeffs[:, 1:].any() else _zonal_decay
     # a blow-up overflows inside the stages; _check_growth reports it as InstabilityError
     with np.errstate(over="ignore", invalid="ignore"):
+        # first, since an overflowing norm would also pass any mean in the Gauss check
+        energy0, enstrophy0 = _energy_enstrophy(spharm.power(omega0).sum(axis=1))
+        if math.isinf(energy0) or math.isinf(enstrophy0):
+            raise ValueError(
+                f"the initial state's energy ({energy0:.3e}) or enstrophy ({enstrophy0:.3e}) "
+                "overflows double precision"
+            )
+        spharm.check_gauss_constraint(omega0)
         energy, enstrophy, max_omega, drift = march(omega0, cfg, plan, band, times)
     return TimeSeries(
         times=times, energy=energy, enstrophy=enstrophy, max_omega=max_omega, drift=drift

@@ -32,6 +32,12 @@ from .grid import (
 
 _FD_STEP = 1e-4
 
+#: Bounds on |k1| accepted by :func:`run_all_checks`.  The suite passes for
+#: |k1| from about 1e-157, below which k1^2 in Phi loses its digits to
+#: subnormal underflow, to about 4e153, above which the squared gradients of
+#: the profile-relation check overflow; the bounds keep three decades of margin.
+K1_RANGE = (1e-150, 1e150)
+
 
 @dataclasses.dataclass(frozen=True)
 class CheckReport:
@@ -279,9 +285,10 @@ def check_zonal_consistency(p: exact.VortexPairParams, tolerance: float = 1e-12)
     north = grid.thetas < 0.5 * np.pi
     south = grid.thetas > 0.5 * np.pi
     monotone = np.all(np.diff(psi_profile) > 0.0) or np.all(np.diff(psi_profile) < 0.0)
-    # mirrored rows share sin^2 but not psi: the map is 2-to-1 across hemispheres
+    # mirrored rows share sin^2 but not psi: the map is 2-to-1 across hemispheres;
+    # psi scales with k1, and so does the separation test
     separated = not np.isclose(
-        psi_profile[north][0], psi_profile[south][-1], rtol=0.0, atol=1e-9
+        psi_profile[north][0], psi_profile[south][-1], rtol=0.0, atol=1e-9 * abs(p.k1)
     )
     if report.passed and not (monotone and separated):
         report = dataclasses.replace(report, passed=False)
@@ -311,14 +318,20 @@ def run_all_checks(
     suite does not depend on the scale of k1: omega and
     Phi = k1^2 cosh^2(omega/k1) are functions of omega/k1, so the harmonic
     residual is divided by |k1| and the Phi stencil takes the step
-    1e-4 * |k1|; at k1 = +-1 both are unchanged.
+    1e-4 * |k1|; at k1 = +-1 both are unchanged.  A |k1| outside
+    :data:`K1_RANGE` raises ValueError before any check runs.
     """
     if p is None:
         p = exact.VortexPairParams(k1=1.0, k2=0.0)
-    if p.k1 == 0.0 or p.k2 != 0.0:
+    if p.k2 != 0.0:
         raise ValueError(
-            "the check suite corroborates the admissible vortex pair; "
-            "needs k1 != 0 and k2 = 0"
+            "the check suite corroborates the admissible vortex pair; needs k2 = 0"
+        )
+    lo, hi = K1_RANGE
+    if not lo <= abs(p.k1) <= hi:
+        raise ValueError(
+            f"|k1| = {abs(p.k1):.3g} is outside [{lo:g}, {hi:g}], "
+            "the range over which the check suite holds in double precision"
         )
     grid = build_grid(GridSpec(nlat=nlat, nlon=nlon, kind=kind))
     psi, omega = vortex_pair_fields(p, grid)

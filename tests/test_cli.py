@@ -1,12 +1,13 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sphereflow import spharm
+from sphereflow import spharm, verify
 from sphereflow.cli import main
 from sphereflow.grid import read_scalar_field
 
@@ -74,10 +75,23 @@ def test_checks_csv_is_pinned(tmp_path, name):
     assert (tmp_path / "checks.csv").read_bytes() == (DATA / f"{name}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("k1", K1_SWEEP)
+@pytest.mark.parametrize("k1", K1_SWEEP + [s * k for k in verify.K1_RANGE for s in (1.0, -1.0)])
 def test_checks_pass_at_every_scale_of_k1(tmp_path, k1):
-    # omega and Phi are functions of omega/k1, so no check may depend on |k1|
+    # omega and Phi are functions of omega/k1, so no check may depend on |k1|,
+    # up to both ends of the accepted range
     assert main(["checks", f"--k1={k1!r}", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("k1", [0.0, 1e-200, -1e-151, 1e151, -1e155, 1e300])
+def test_checks_reject_k1_outside_its_range(tmp_path, capsys, k1):
+    # beyond the range k1^2 and the squared profile gradients overflow, or
+    # k1^2 sinks into subnormals: one error line, no warning, no checks.csv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["checks", f"--k1={k1!r}", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: |k1| = ") and err.count("\n") == 1
+    assert not (tmp_path / "checks.csv").exists()
 
 
 def test_checks_exponential_model_fails(tmp_path):
@@ -199,6 +213,32 @@ def test_evolve_blow_up_exits_one_without_output(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "|omega| reached nan at t=1e+200" in proc.stderr
+    assert not (out / "timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("init", ["basic", "file", "file-with-mean"])
+def test_evolve_rejects_an_initial_state_that_overflows(tmp_path, init):
+    # energy and enstrophy sum |a_lm|^2, which overflows for |a_lm| ~ 1e200:
+    # exit 2 before any step, not a series of inf or a blow-up after one; with
+    # a mean too, the Gauss check must not warn of its overflowing norm first
+    if init == "basic":
+        args = ["--init", "basic", "--k1", "1e300", "--lmax", "15"]
+    else:
+        ic = tmp_path / "huge.csv"
+        mean = "0,0,1,0\n" if init == "file-with-mean" else ""
+        ic.write_text(f"l,m,re,im\n{mean}2,-1,-1e200,0\n2,1,1e200,0\n3,0,1,0\n")
+        args = ["--init", f"file:{ic}", "--lmax", "8"]
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sphereflow", "evolve", *args, "--steps", "2", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).parent.parent,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: the initial state's energy (inf) or enstrophy (inf) overflows double precision"
+    ]
     assert not (out / "timeseries.csv").exists()
 
 

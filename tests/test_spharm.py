@@ -322,40 +322,41 @@ def test_spectral_field_rejects_complex_zonal_coefficient():
 
 
 def test_synthesize_plan_too_small():
-    # a zonal field too: the order-0 shortcut must not skip the degree check
+    # a zonal field too
     grid = build_grid(GridSpec(nlat=8, nlon=16))
     plan = spharm.build_plan(grid, 5)
     with pytest.raises(ValueError, match="plan resolves lmax=5 < field lmax=7"):
         spharm.synthesize(zeros(7), plan)
 
 
-def _per_order_synthesis(c, plan):
-    """synthesize without the zonal shortcut: one GEMM per order, then the irfft."""
-    profiles = spharm._order_profiles([c], plan, plan.plm_blocks)
-    return spharm._longitude_synthesis(profiles, plan.grid, (None,))[0]
+def _zonal_synthesis(c, plan):
+    """The order-0 rows of ``evolve``'s zonal path, repeated in longitude."""
+    rows = spharm._zonal_rows(c.coeffs[None, :, 0], plan)[0]
+    return np.repeat(rows[:, None], plan.grid.nlon, axis=1)
 
 
 @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "plain"])
 @pytest.mark.parametrize("lmax", [15, 31, 63, 127])
 @pytest.mark.parametrize("kind", ["pair", "random"])
 def test_zonal_synthesis_equals_per_order_path(kind, lmax, dealias, count_order_profiles):
-    # the order-0 shortcut must give the bytes of the full per-order path
+    # the order-0 rows must give the bytes of the full per-order path at every
+    # longitude: the irfft of a lone mean is exact
     plan = timestep.transform_plan_for(lmax, dealias)
     if kind == "pair":
         c = timestep.project_vortex_pair(exact.VortexPairParams(k1=1.0), lmax)
     else:
         c = random_zonal(lmax, lmax)
     got = spharm.synthesize(c, plan).values
-    assert count_order_profiles == []
+    assert count_order_profiles == [lmax]
     assert np.max(np.abs(got)) > 0.1
-    assert np.array_equal(got, _per_order_synthesis(c, plan))
+    assert np.array_equal(got, _zonal_synthesis(c, plan))
 
 
 def test_zonal_synthesis_below_the_plan_degree(plan20, count_order_profiles):
     c = random_zonal(10, 3)
     got = spharm.synthesize(c, plan20).values
-    assert count_order_profiles == []
-    assert np.array_equal(got, _per_order_synthesis(c, plan20))
+    assert count_order_profiles == [20]
+    assert np.array_equal(got, _zonal_synthesis(c, plan20))
     padded = np.zeros((21, 21), dtype=np.complex128)
     padded[:11, :11] = c.coeffs
     assert np.array_equal(got, spharm.synthesize(spharm.SpectralField(20, padded), plan20).values)
@@ -363,10 +364,15 @@ def test_zonal_synthesis_below_the_plan_degree(plan20, count_order_profiles):
 
 def test_near_zonal_synthesis_takes_per_order_path(plan20, count_order_profiles):
     c = random_zonal(20, 6)
-    c = spharm.SpectralField(20, c.coeffs + 1e-3 * spharm.real_single_mode(20, 3, 1).coeffs)
-    got = spharm.synthesize(c, plan20).values
+    mode = spharm.real_single_mode(20, 3, 1)
+    got = spharm.synthesize(spharm.SpectralField(20, c.coeffs + 1e-3 * mode.coeffs), plan20)
     assert count_order_profiles == [20]
-    assert np.array_equal(got, _per_order_synthesis(c, plan20))
+    # the order-1 part is not lost: to the rounding of the field, it is its
+    # zonal rows plus that mode
+    order1 = got.values - _zonal_synthesis(c, plan20)
+    expected = 1e-3 * spharm.synthesize(mode, plan20).values
+    assert np.max(np.abs(expected)) > 1e-4
+    assert np.max(np.abs(order1 - expected)) <= 1e-14 * np.max(np.abs(got.values))
 
 
 def test_synthesize_real_single_order(plan20):

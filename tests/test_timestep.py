@@ -176,7 +176,7 @@ def count_transforms(monkeypatch):
     return calls
 
 
-# lmax 127 takes more than one block of states in the zonal path (ZONAL_BLOCK_DOUBLES)
+# lmax 127 runs the zonal path's stacked order-0 GEMM on the largest table
 ZONAL_CASES = [("pair", L, d) for L in (15, 31, 63) for d in (True, False)] + [
     ("random", 20, True),
     ("pair", 127, True),
@@ -314,7 +314,7 @@ def test_vortex_pair_projection_stays_zonal(lmax, dealias):
     # the closed-form spectrum is exactly zonal and exactly real, and the rule
     # picks only nlon at which the rfft of a constant row is exactly zero off
     # the mean (not 400 or 480), so the analysis of a zonal field stays zonal
-    # too: the zonal shortcuts of drift-sweep depend on both
+    # too: the zonal path of drift-sweep depends on both
     omega = timestep.project_vortex_pair(exact.VortexPairParams(k1=-1.7), lmax)
     plan = timestep.transform_plan_for(lmax, dealias)
     assert not omega.coeffs[:, 1:].any()

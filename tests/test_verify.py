@@ -171,6 +171,16 @@ def test_zonal_consistency():
     assert report.max_abs_residual == 0.0
 
 
+@pytest.mark.parametrize("k1", [1e-100, -1e-10, 1e-10, 1e100])
+def test_zonal_consistency_at_every_scale_of_k1(k1):
+    # psi scales with k1, so its separation across the hemispheres must be
+    # judged on that scale: at |k1| = 1e-10 the end rows differ by about
+    # 1.6e-10, less than an absolute 1e-9
+    report = verify.check_zonal_consistency(exact.VortexPairParams(k1=k1))
+    assert report.passed
+    assert report.max_abs_residual == 0.0
+
+
 def test_zonal_consistency_hemisphere_maps():
     # psi is strictly monotone, so sin^2 is single-valued per hemisphere and
     # mirrored rows carry distinct psi values
