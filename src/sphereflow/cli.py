@@ -16,7 +16,15 @@ import sys
 import numpy as np
 
 from . import exact, operators, spharm, timestep, verify
-from .grid import DEFAULT_BAND, GridSpec, ScalarField, band_max, build_grid, write_scalar_field
+from .grid import (
+    DEFAULT_BAND,
+    GridSpec,
+    ScalarField,
+    band_max,
+    build_grid,
+    require_finite,
+    write_scalar_field,
+)
 
 
 def _add_grid_args(p, nlat=64, nlon=128):
@@ -56,22 +64,29 @@ def _out_dir(args) -> str:
 def cmd_fields(args) -> int:
     grid = _build_grid(args)
     p = exact.VortexPairParams(k1=args.k1, k2=args.k2)
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports an overflow
+        fields = {
+            "omega.csv": exact.vorticity_field(p, grid),
+            "psi.csv": exact.streamfunction_field(p, grid),
+            "uphi.csv": ScalarField(grid, exact.velocity_field(p, grid).u_phi),
+        }
+    for name, f in fields.items():  # all before any write: a refused field leaves no file
+        require_finite(f, name)
     out = _out_dir(args)
-    write_scalar_field(exact.vorticity_field(p, grid), os.path.join(out, "omega.csv"))
-    write_scalar_field(exact.streamfunction_field(p, grid), os.path.join(out, "psi.csv"))
-    u = exact.velocity_field(p, grid)
-    write_scalar_field(ScalarField(grid, u.u_phi), os.path.join(out, "uphi.csv"))
+    for name, f in fields.items():
+        write_scalar_field(f, os.path.join(out, name))
     return 0
 
 
 def cmd_residual(args) -> int:
     grid = _build_grid(args)
     p = exact.VortexPairParams(k1=args.k1, k2=args.k2)
-    psi = exact.streamfunction_field(p, grid)
-    omega = exact.vorticity_field(p, grid)
-    res = operators.ns_residual(psi, omega, args.nu)
-    band = (args.band_lo, args.band_hi)
-    res_max = band_max(res, band)
+    with np.errstate(over="ignore", invalid="ignore"):  # write_scalar_field reports an overflow
+        psi = exact.streamfunction_field(p, grid)
+        omega = exact.vorticity_field(p, grid)
+        res = operators.ns_residual(psi, omega, args.nu)
+        band = (args.band_lo, args.band_hi)
+        res_max = band_max(res, band)
     out = _out_dir(args)
     write_scalar_field(res, os.path.join(out, "residual.csv"))
     print(f"max |residual| on band [{band[0]:.17g}, {band[1]:.17g}]: {res_max:.17g}")
@@ -146,9 +161,15 @@ def cmd_gauss(args) -> int:
     p = exact.VortexPairParams(k1=args.k1, k2=args.k2)
     north = exact.hemisphere_vorticity_integral(p, "north")
     south = exact.hemisphere_vorticity_integral(p, "south")
+    total, expected = north + south, 4.0 * np.pi * args.k2
+    if not np.all(np.isfinite([total, north, south, expected])):
+        raise ValueError(
+            f"the vorticity budget overflows double precision: total {total:.17g} "
+            f"north {north:.17g} south {south:.17g} (expected total {expected:.17g})"
+        )
     print(
-        f"total {north + south:.17g} north {north:.17g} south {south:.17g} "
-        f"(expected total {4.0 * np.pi * args.k2:.17g})"
+        f"total {total:.17g} north {north:.17g} south {south:.17g} "
+        f"(expected total {expected:.17g})"
     )
     return 0
 

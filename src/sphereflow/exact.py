@@ -11,11 +11,14 @@ equals 4*pi*k2.  The azimuthal velocity follows from the sign conventions
 pinned in :mod:`sphereflow.operators` (u_phi = -psi', -lap(psi) = omega):
 
     u_phi(theta) = k1 * I(theta) / sin(theta),
-    I(theta) = int_0^theta sin(s) log(tan(s/2)) ds
-             = log(sin(theta)) - cos(theta) log(tan(theta/2)) - log(2),
+    I(theta) = int_0^theta sin(t) log(tan(t/2)) dt
+             = log(sin(theta)) - cos(theta) log(tan(theta/2)) - log(2)
+             = s^2 log(s^2) + c^2 log(c^2),  s = sin(theta/2), c = cos(theta/2),
 
 continuous with limit 0 at both poles and extremal at the equator, where
-u_phi = -k1*log(2).
+u_phi = -k1*log(2).  The last form is a sum of two terms <= 0, so no digits
+cancel; with a = min(s, c) and b = max(s, c) it is evaluated as
+2 a^2 log(a) + b^2 log1p(-a^2), which keeps full precision at either pole.
 
 The streamfunction psi = -int_0^theta u_phi, gauged to 0 at the north pole,
 has a closed form through the dilogarithm Li2.  With chi = log(tan(theta/2)),
@@ -27,9 +30,13 @@ psi = k1*h on the north hemisphere (chi <= 0) and psi = k1*(pi^2/6 - h) on
 the south, so psi(pi/2) = k1*pi^2/12 and psi spans k1*pi^2/6 from pole to
 pole.  This is the chi-form of the integral rearranged with the inversion
 Li2(-x) + Li2(-1/x) = -pi^2/6 - log^2(x)/2, which removes a -chi^2
-cancellation at the poles.  Li2(-q) = spence(1 + q) loses q's low digits
-to the rounding of 1 + q, so below q = 1/8 the power series
-sum_k (-q)^k/k^2 takes over.
+cancellation at the poles.  Li2(-q) comes from its Bernoulli series in
+w = -log1p(q),
+
+    Li2(-q) = w - w^2/4 + sum_k B_2k w^(2k+1) / (2k+1)!,
+
+and since |w| <= log(2) on 0 <= q <= 1, eight odd terms reach double
+precision for every q, the smallest included.
 """
 
 from __future__ import annotations
@@ -38,19 +45,15 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import spence
 
 from .grid import Grid, ScalarField
 from .operators import VelocityField
 
-# below this distance from a pole the closed form for I(theta) loses digits
-# to cancellation; switch to its series
-_SERIES_THRESHOLD = 1e-4
-
-# below this q the dilogarithm Li2(-q) comes from its power series; at
-# q = 1/8 the 20-term truncation error is below 1e-20 relative
-_DILOG_SERIES_Q = 0.125
-_DILOG_SERIES_TERMS = 20
+# B_2k / (2k+1)! for k = 1..8, the odd terms of the Bernoulli series of Li2
+_DILOG_BERNOULLI = (
+    1 / 36, -1 / 3600, 1 / 211680, -1 / 10886400, 1 / 526901760,
+    -691 / 16999766784000, 1 / 1120863744000, -3617 / 181400588328960000,
+)
 
 #: Catalan's constant G = sum_k (-1)^k / (2k+1)^2.
 CATALAN = 0.91596559417721901505
@@ -85,26 +88,11 @@ def vorticity_profile(theta, p: VortexPairParams):
     return float(omega) if t.ndim == 0 else omega
 
 
-def _velocity_integral_closed(t: np.ndarray) -> np.ndarray:
-    return np.log(np.sin(t)) - np.cos(t) * np.log(np.tan(0.5 * t)) - math.log(2.0)
-
-
-def _velocity_integral_series(t: np.ndarray) -> np.ndarray:
-    # I(theta) for theta near 0, exploiting I(pi - t) = I(t); error O(t^6 log t)
-    log_half = np.log(0.5 * t)
-    return 0.5 * t**2 * log_half - 0.25 * t**2 + t**4 * (1.0 / 32.0 - log_half / 24.0)
-
-
 def _velocity_integral(t: np.ndarray) -> np.ndarray:
-    """I(theta) with the near-pole series taking over below the threshold."""
-    near = np.minimum(t, np.pi - t)
-    out = np.empty_like(t)
-    use_series = near < _SERIES_THRESHOLD
-    if np.any(use_series):
-        out[use_series] = _velocity_integral_series(near[use_series])
-    if np.any(~use_series):
-        out[~use_series] = _velocity_integral_closed(t[~use_series])
-    return out
+    """I(theta) = 2 a^2 log(a) + b^2 log1p(-a^2), a, b = min, max of sin, cos(theta/2)."""
+    s, c = np.sin(0.5 * t), np.cos(0.5 * t)
+    a, b = np.minimum(s, c), np.maximum(s, c)
+    return 2.0 * a * a * np.log(a) + b * b * np.log1p(-a * a)
 
 
 def azimuthal_velocity(theta, p: VortexPairParams):
@@ -116,18 +104,18 @@ def azimuthal_velocity(theta, p: VortexPairParams):
     """
     t = np.asarray(theta, dtype=np.float64)
     _check_interior(t)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
     u = p.k1 * _velocity_integral(t) / np.sin(t)
-    return float(u[0]) if scalar else u
+    return float(u) if t.ndim == 0 else u
 
 
 def _neg_dilog(q: np.ndarray) -> np.ndarray:
-    """Li2(-q) for 0 <= q <= 1."""
-    series = np.zeros_like(q)
-    for k in range(_DILOG_SERIES_TERMS, 0, -1):
-        series = 1.0 / k**2 - q * series
-    return np.where(q < _DILOG_SERIES_Q, -q * series, spence(1.0 + q))
+    """Li2(-q) for 0 <= q <= 1, from the Bernoulli series in w = -log1p(q)."""
+    w = -np.log1p(q)
+    w2 = w * w
+    tail = np.zeros_like(w)
+    for coeff in reversed(_DILOG_BERNOULLI):
+        tail = coeff + w2 * tail
+    return w - 0.25 * w2 + w * w2 * tail
 
 
 def streamfunction_profile(theta, p: VortexPairParams):
@@ -135,9 +123,10 @@ def streamfunction_profile(theta, p: VortexPairParams):
 
     Closed form: psi = k1*h(a) for theta <= pi/2 and k1*(pi^2/6 - h(a))
     beyond, with a = |log(tan(theta/2))|, q = exp(-2a) and
-    h(a) = a*log(1 + q) - Li2(-q).  Li2(-q) is spence(1 + q), replaced by
-    its power series below q = 1/8 where 1 + q would round q away.  psi is
-    monotone with pole-to-pole span k1*pi^2/6 and equator value k1*pi^2/12.
+    h(a) = a*log(1 + q) - Li2(-q), both terms >= 0.  Li2(-q) is the
+    Bernoulli series in w = -log1p(q), |w| <= log(2), whose eight odd terms
+    hold it to double precision for every 0 <= q <= 1.  psi is monotone
+    with pole-to-pole span k1*pi^2/6 and equator value k1*pi^2/12.
     """
     t = np.asarray(theta, dtype=np.float64)
     _check_interior(t)

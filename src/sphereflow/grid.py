@@ -216,8 +216,24 @@ def colatitude_of_mercator(chi):
     return float(theta) if c.ndim == 0 else theta
 
 
+def require_finite(f: ScalarField, name) -> None:
+    """Raise ValueError naming ``name`` if any value of ``f`` is NaN or infinite."""
+    bad = ~np.isfinite(f.values)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{name} has {int(bad.sum())} non-finite values, the first {f.values[i, j]} "
+            f"at theta={f.grid.thetas[i]:.17g}, phi={f.grid.phis[j]:.17g}"
+        )
+
+
 def write_scalar_field(f: ScalarField, path) -> None:
-    """Write a field as CSV with header theta,phi,value in theta-major order."""
+    """Write a field as CSV with header theta,phi,value in theta-major order.
+
+    A NaN or infinite value raises ValueError before the file is opened,
+    since :func:`read_scalar_field` refuses one.
+    """
+    require_finite(f, path)
     lines = ["theta,phi,value"]
     for i, theta in enumerate(f.grid.thetas):
         for j, phi in enumerate(f.grid.phis):

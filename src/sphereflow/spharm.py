@@ -132,14 +132,27 @@ def power(c: SpectralField) -> np.ndarray:
 
     Its sum runs over every order -l..l, so int f^2 dA = power(c).sum().
     """
-    w = np.full(c.lmax + 1, 2.0)
+    return _order_weights(c.lmax) * np.abs(c.coeffs) ** 2
+
+
+def _order_weights(lmax: int) -> np.ndarray:
+    """Weight per stored order: 1 for m = 0, 2 for m >= 1, which also counts a_{l,-m}."""
+    w = np.full(lmax + 1, 2.0)
     w[0] = 1.0
-    return w * np.abs(c.coeffs) ** 2
+    return w
 
 
 def l2_norm(c: SpectralField) -> float:
     """L2 norm of the field over the sphere, counting the unstored orders m < 0."""
-    return float(np.sqrt(np.sum(power(c))))
+    return _scaled_norm(c.coeffs, _order_weights(c.lmax))
+
+
+def _scaled_norm(a: np.ndarray, weights=1.0) -> float:
+    """sqrt(sum(weights * |a|^2)), formed on a / max|a| so no square overflows."""
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    return scale * math.sqrt(float(np.sum(weights * np.abs(a / scale) ** 2)))
 
 
 def _order_offsets(lmax: int) -> list:
@@ -508,8 +521,7 @@ def read_spectral_field(path, lmax: int) -> SpectralField:
             arr[int(m < 0), l, abs(m)] = z
     if not first_line:
         raise ValueError(f"no coefficients in {path}")
-    with np.errstate(over="ignore"):  # a norm past the float range accepts any pair
-        tol = SYMMETRY_RTOL * max(1.0, float(np.sqrt(np.sum(np.abs(arr) ** 2))))
+    tol = SYMMETRY_RTOL * max(1.0, _scaled_norm(arr))
     pos, neg = arr
     neg[:, 0] = pos[:, 0]  # order 0 pairs with itself: the residue is 2 |Im a_{l,0}|
     residue = np.abs(neg - (-1.0) ** np.arange(lmax + 1) * np.conj(pos))

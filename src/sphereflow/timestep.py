@@ -306,7 +306,7 @@ def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
     march = _lawson_steps if omega0.coeffs[:, 1:].any() else _zonal_decay
     # a blow-up overflows inside the stages; _check_growth reports it as InstabilityError
     with np.errstate(over="ignore", invalid="ignore"):
-        # first, since an overflowing norm would also pass any mean in the Gauss check
+        # first, so a state past double precision is reported as that, whatever its mean
         energy0, enstrophy0 = _energy_enstrophy(spharm.power(omega0).sum(axis=1))
         if math.isinf(energy0) or math.isinf(enstrophy0):
             raise ValueError(

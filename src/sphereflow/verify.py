@@ -45,7 +45,11 @@ class CheckReport:
 
     ``band`` holds the domain actually used: a colatitude interval for grid
     checks, the sample range of the profile variable otherwise.  ``passed``
-    is exactly ``max_abs_residual <= tolerance``.
+    requires ``max_abs_residual <= tolerance``, and two checks add a
+    condition of their own: mercator-obstruction fails unless the obstruction
+    exceeds 0.5 somewhere on its samples, and zonal-consistency fails unless
+    psi is monotone with distinct values on its first and last rows.  So a report can fail under
+    a passing residual, never pass over a failing one.
     """
 
     name: str

@@ -323,6 +323,31 @@ def test_non_finite_vortex_pair_rejected(tmp_path, capsys, subcommand, flag, val
     assert "Traceback" not in err
 
 
+_OVERFLOWING_RUNS = {
+    # each used to exit 0: fields wrote 424 inf values to omega.csv, residual
+    # wrote NaN everywhere, and gauss printed "total inf"
+    "fields": ["fields", "--nlat", "512", "--nlon", "4", "--k1", "1e308"],
+    "residual": ["residual", "--nlat", "512", "--nlon", "4", "--k1", "1e308"],
+    "gauss": ["gauss", "--k1", "1e308", "--k2", "1e308"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_OVERFLOWING_RUNS))
+def test_overflowing_output_exits_two_without_csv(tmp_path, capsys, subcommand):
+    argv = _OVERFLOWING_RUNS[subcommand]
+    if subcommand != "gauss":
+        argv = [*argv, "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "non-finite" in captured.err or "overflows" in captured.err
+    for name in ("omega.csv", "psi.csv", "uphi.csv", "residual.csv"):
+        assert not (tmp_path / name).exists()
+
+
 def test_residual_rejects_non_finite_viscosity(tmp_path, capsys):
     argv = ["residual", "--nlat", "8", "--nlon", "8", "--nu", "nan", "--out", str(tmp_path)]
     assert main(argv) == 2

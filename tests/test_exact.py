@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
@@ -86,18 +87,65 @@ def test_velocity_equatorial_symmetry():
     north = azimuthal_velocity(thetas, P1)
     south = azimuthal_velocity(math.pi - thetas, P1)
     assert np.max(np.abs(north - south)) < 1e-12
-
-
-def test_velocity_series_continuity_at_threshold():
-    # closed form and series must agree through the switching point
-    eps = np.array([0.5e-4, 0.9e-4, 1.1e-4, 2e-4])
-    closed = P1.k1 * exact._velocity_integral_closed(eps) / np.sin(eps)
-    series = P1.k1 * exact._velocity_integral_series(eps) / np.sin(eps)
-    assert np.max(np.abs(closed - series)) < 1e-10
     for theta in (math.pi - 0.9e-4, math.pi - 1.1e-4):
         assert azimuthal_velocity(theta, P1) == pytest.approx(
             azimuthal_velocity(math.pi - theta, P1), abs=1e-12
         )
+
+
+def _gauss_colatitudes(nlat):
+    return build_grid(GridSpec(nlat=nlat, nlon=4)).thetas
+
+
+# log-spaced toward both poles; float64 resolves pi - theta only down to ~1e-15
+_POLE_SWEEP = np.concatenate(
+    [np.logspace(-150, -0.5, 150), [math.pi / 2], math.pi - np.logspace(-15, -0.5, 60)]
+)
+_ORACLE_THETAS = {
+    "pole-sweep": _POLE_SWEEP,
+    **{f"gauss{n}": _gauss_colatitudes(n) for n in (64, 256, 1024)},
+}
+
+
+def _mp_velocity(theta):
+    """u_phi for k1 = 1 from the cancelling closed form of I, at 700 digits.
+
+    log(sin) and cos*log(tan) agree in all but ~|log10(theta^2)| leading
+    digits near a pole, so 40 digits lose everything below theta ~ 1e-20.
+    """
+    with mpmath.workdps(700):
+        th = mpmath.mpf(float(theta))
+        integral = (
+            mpmath.log(mpmath.sin(th)) - mpmath.cos(th) * mpmath.log(mpmath.tan(th / 2)) - mpmath.log(2)
+        )
+        return float(integral / mpmath.sin(th))
+
+
+@pytest.mark.parametrize("nodes", sorted(_ORACLE_THETAS))
+def test_velocity_matches_high_precision_closed_form(nodes):
+    thetas = _ORACLE_THETAS[nodes]
+    got = azimuthal_velocity(thetas, P1)
+    oracle = np.array([_mp_velocity(t) for t in thetas])
+    assert np.max(np.abs(got - oracle) / np.abs(oracle)) <= 1e-15
+
+
+def _mp_neg_dilog(q):
+    with mpmath.workdps(40):
+        return float(mpmath.polylog(2, -mpmath.mpf(float(q))))
+
+
+def test_neg_dilog_matches_mpmath_polylog():
+    q = np.concatenate([[0.0, 1e-300, 1e-20, 1e-8, 1e-3, 0.125, 1.0], np.linspace(0.0, 1.0, 257)])
+    got = exact._neg_dilog(q)
+    oracle = np.array([_mp_neg_dilog(x) for x in q])
+    assert np.all(np.abs(got - oracle) <= 1e-15 * np.abs(oracle))
+
+
+def test_dilog_coefficients_are_bernoulli_over_factorial():
+    expected = [
+        sympy.bernoulli(2 * k) / sympy.factorial(2 * k + 1) for k in range(1, 9)
+    ]
+    assert list(exact._DILOG_BERNOULLI) == [float(c) for c in expected]
 
 
 def test_velocity_pole_behavior():
@@ -158,6 +206,23 @@ def test_streamfunction_matches_high_precision_quadrature():
         for theta, value in zip(thetas, got):
             oracle = _mp_streamfunction(theta, k1)
             assert abs(value - float(oracle)) <= 1e-13 * abs(float(oracle)), theta
+
+
+def _mp_streamfunction_closed(theta):
+    """psi for k1 = 1 from the inversion form h(a) with mpmath's polylog, at 40 digits."""
+    with mpmath.workdps(40):
+        tan_half = mpmath.tan(mpmath.mpf(float(theta)) / 2)
+        r = min(tan_half, 1 / tan_half)
+        h = -mpmath.log(r) * mpmath.log1p(r * r) - mpmath.polylog(2, -r * r)
+        return float(h if tan_half <= 1 else mpmath.pi**2 / 6 - h)
+
+
+@pytest.mark.parametrize("nodes", sorted(_ORACLE_THETAS))
+def test_streamfunction_matches_mpmath_polylog(nodes):
+    thetas = _ORACLE_THETAS[nodes]
+    got = streamfunction_profile(thetas, P1)
+    oracle = np.array([_mp_streamfunction_closed(t) for t in thetas])
+    assert np.max(np.abs(got - oracle) / np.abs(oracle)) <= 1e-15
 
 
 def test_streamfunction_matches_velocity_quadrature():

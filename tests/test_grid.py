@@ -190,6 +190,18 @@ def test_scalar_field_csv_round_trip(tmp_path):
     assert np.array_equal(values, f.values)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_field_csv_writer_refuses_non_finite_values(tmp_path, bad):
+    # the reader refuses them, so the writer must not open the file
+    g = build_grid(GridSpec(nlat=4, nlon=4))
+    values = np.arange(16.0).reshape(4, 4)
+    values[2, 1] = bad
+    path = tmp_path / "field.csv"
+    with pytest.raises(ValueError, match=rf"1 non-finite values, the first {bad} at theta="):
+        write_scalar_field(ScalarField(g, values), path)
+    assert not path.exists()
+
+
 def _phi_major(lines):
     rows = sorted(lines[1:], key=lambda r: tuple(float(x) for x in r.split(",")[1::-1]))
     return lines[:1] + rows

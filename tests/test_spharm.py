@@ -288,6 +288,14 @@ def test_invert_poisson_round_trip():
     assert coeff(psi, 0, 0) == 0.0
 
 
+def test_gauss_check_holds_past_the_square_range():
+    # |a|^2 overflows past ~1.3e154; a mean of 1e-5 of the norm must still fail
+    omega = with_coeff(with_coeff(zeros(4), 2, 1, 1e200), 0, 0, 1e195)
+    assert spharm.l2_norm(omega) == pytest.approx(math.sqrt(2.0 + 1e-10) * 1e200, rel=1e-15)
+    with pytest.raises(spharm.GaussConstraintError):
+        spharm.check_gauss_constraint(omega)
+
+
 def test_invert_poisson_zero_field():
     psi = spharm.invert_poisson(zeros(6))
     assert np.max(np.abs(psi.coeffs)) == 0.0
@@ -418,6 +426,20 @@ def test_conjugate_symmetry_checker(tmp_path):
     line = _replace_row(path, 2, 0, "1.0,1.0")
     with pytest.raises(spharm.SymmetryError, match=rf"line {line}: a_\(l=2,m=0\)"):
         spharm.read_spectral_field(path, 6)
+
+
+def test_symmetry_checks_hold_past_the_square_range(tmp_path):
+    # an imaginary a_{l,0} or a broken (l, -m) pair of 1e-5 of the norm is
+    # refused even when the squared coefficients overflow
+    arr = np.zeros((5, 5), dtype=np.complex128)
+    arr[2, 1] = 1e200
+    arr[1, 0] = 1e195j
+    with pytest.raises(spharm.SymmetryError, match=r"Im a_\(l,0\)"):
+        spharm.SpectralField(4, arr)
+    path = tmp_path / "coeffs.csv"
+    path.write_text("l,m,re,im\n2,1,1e200,0\n2,-1,1e200,0\n")
+    with pytest.raises(spharm.SymmetryError, match=r"line 3: a_\(l=2,m=-1\)"):
+        spharm.read_spectral_field(path, 4)
 
 
 def test_spectral_csv_accepts_pairs_within_tolerance(tmp_path):
