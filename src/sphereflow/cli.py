@@ -81,12 +81,13 @@ def cmd_fields(args) -> int:
 def cmd_residual(args) -> int:
     grid = _build_grid(args)
     p = exact.VortexPairParams(k1=args.k1, k2=args.k2)
-    with np.errstate(over="ignore", invalid="ignore"):  # write_scalar_field reports an overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports an overflow
         psi = exact.streamfunction_field(p, grid)
         omega = exact.vorticity_field(p, grid)
         res = operators.ns_residual(psi, omega, args.nu)
         band = (args.band_lo, args.band_hi)
         res_max = band_max(res, band)
+    require_finite(res, "residual.csv")  # before the directory: a refused run leaves nothing
     out = _out_dir(args)
     write_scalar_field(res, os.path.join(out, "residual.csv"))
     print(f"max |residual| on band [{band[0]:.17g}, {band[1]:.17g}]: {res_max:.17g}")

@@ -156,8 +156,13 @@ def cell_weights(thetas: np.ndarray) -> np.ndarray:
     return w
 
 
+#: Grids kept per process: the check suite's two, a CLI grid and the plan grids of a sweep.
+GRID_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def build_grid(spec: GridSpec) -> Grid:
-    """Build the quadrature grid described by ``spec``, mirrored about the equator.
+    """The quadrature grid described by ``spec``, mirrored about the equator.
 
     Gauss-Legendre colatitudes are the roots of the Legendre polynomial in
     mu = cos(theta); their weights integrate polynomials in mu up to degree
@@ -167,6 +172,12 @@ def build_grid(spec: GridSpec) -> Grid:
     and w_south = w_north, with an equator row at exactly pi/2 when nlat is
     odd.  The transforms rely on this to fold the equatorial parity of the
     Legendre functions (see :func:`sphereflow.spharm.build_plan`).
+
+    Grids are cached per ``spec``, that is per ``(nlat, nlon, kind)``, at
+    most :data:`GRID_CACHE_SIZE` per process: a grid is frozen and its arrays
+    and cached properties are read-only, so every caller can share one, and
+    the nodes, ``sin_thetas``, ``cos_thetas`` and ``chis`` of a spec are
+    computed once.  A call that raises caches nothing.
     """
     nh = spec.nlat // 2
     if spec.kind == GAUSS_LEGENDRE:

@@ -60,9 +60,39 @@ def _require_same_grid(a, b) -> Grid:
     return ga
 
 
+def _periodic_neighbours(n: int):
+    """(next, here, prev) column slices that cover the n longitudes once, periodic in n.
+
+    A stencil written through them into one output array needs no shifted
+    copy of its input.  Any n >= 1 works: at n = 1 and 2 the interior slices
+    are empty and both neighbours of a column are one and the same column.
+    """
+    return (
+        (slice(2, None), slice(1, n - 1), slice(0, n - 2)),
+        (slice(1 % n, 1 % n + 1), slice(0, 1), slice(n - 1, n)),
+        (slice(0, 1), slice(n - 1, n), slice((n - 2) % n, (n - 2) % n + 1)),
+    )
+
+
 def _dphi_values(values: np.ndarray, dphi: float) -> np.ndarray:
     """Centered periodic longitude derivative; exactly zero on zonal rows."""
-    return (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2.0 * dphi)
+    out = np.empty_like(values)
+    for nxt, here, prev in _periodic_neighbours(values.shape[1]):
+        np.subtract(values[:, nxt], values[:, prev], out=out[:, here])
+    out /= 2.0 * dphi
+    return out
+
+
+def _d2phi_values(values: np.ndarray, dphi: float) -> np.ndarray:
+    """Periodic second longitude difference ((f_+ - 2 f_0) + f_-) / dphi^2."""
+    out = np.empty_like(values)
+    for nxt, here, prev in _periodic_neighbours(values.shape[1]):
+        o = out[:, here]
+        np.multiply(values[:, here], 2.0, out=o)
+        np.subtract(values[:, nxt], o, out=o)
+        np.add(o, values[:, prev], out=o)
+    out /= dphi**2
+    return out
 
 
 def _first_derivative_coeffs(x: np.ndarray):
@@ -166,8 +196,7 @@ def laplace_beltrami_fd(f: ScalarField) -> ScalarField:
     """
     g = f.grid
     d2chi = _apply_row_stencil(f.values, _second_derivative_coeffs(g.chis))
-    v = f.values
-    d2phi = (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / g.dphi**2
+    d2phi = _d2phi_values(f.values, g.dphi)
     return ScalarField(g, (d2chi + d2phi) / g.sin_thetas[:, None] ** 2)
 
 
@@ -179,9 +208,10 @@ def jacobian(psi: ScalarField, omega: ScalarField) -> ScalarField:
     because the longitude differences vanish exactly.
     """
     g = _require_same_grid(psi, omega)
-    bracket = _dphi_values(psi.values, g.dphi) * _dtheta_values(omega.values, g.thetas) - _dtheta_values(
-        psi.values, g.thetas
-    ) * _dphi_values(omega.values, g.dphi)
+    dtheta = _first_derivative_coeffs(g.thetas)
+    bracket = _dphi_values(psi.values, g.dphi) * _apply_row_stencil(
+        omega.values, dtheta
+    ) - _apply_row_stencil(psi.values, dtheta) * _dphi_values(omega.values, g.dphi)
     return ScalarField(g, bracket)
 
 
@@ -214,5 +244,5 @@ def mercator_laplacian(values: np.ndarray, chi_step: float, phi_step: float) -> 
     out[0] = v[0] - 2.0 * v[1] + v[2]
     out[-1] = v[-3] - 2.0 * v[-2] + v[-1]
     out /= chi_step**2
-    out += (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / phi_step**2
+    out += _d2phi_values(v, phi_step)
     return out

@@ -149,10 +149,11 @@ def l2_norm(c: SpectralField) -> float:
 
 def _scaled_norm(a: np.ndarray, weights=1.0) -> float:
     """sqrt(sum(weights * |a|^2)), formed on a / max|a| so no square overflows."""
-    scale = float(np.max(np.abs(a), initial=0.0))
+    mag = np.abs(a)
+    scale = float(np.max(mag, initial=0.0))
     if scale == 0.0 or not math.isfinite(scale):
         return scale
-    return scale * math.sqrt(float(np.sum(weights * np.abs(a / scale) ** 2)))
+    return scale * math.sqrt(float(np.sum(weights * (mag / scale) ** 2)))
 
 
 def _order_offsets(lmax: int) -> list:

@@ -129,7 +129,9 @@ def transform_plan_for(lmax: int, dealias: bool) -> spharm.TransformPlan:
     3 * 2^k, lengths at which the rfft of a constant row is exactly zero off
     the mean, so the analysis of a zonal field stays exactly zonal.
     Plans are cached per ``(lmax, dealias)``: a plan and its grid are frozen
-    with read-only arrays, so every caller can share one.
+    with read-only arrays, so every caller can share one.  The grid comes
+    from :func:`sphereflow.grid.build_grid`'s own cache, so it is the grid
+    every other caller gets for the same spec.
     """
     if dealias:
         nlat = (3 * lmax) // 2 + 2

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from sphereflow import exact
+from sphereflow import exact, timestep, verify
+from sphereflow import grid as sgrid
 from sphereflow.grid import (
     Grid,
     GridSpec,
@@ -231,3 +232,60 @@ def test_weights_must_sum_to_two():
     thetas = np.linspace(0.3, np.pi - 0.3, 8)
     with pytest.raises(ValueError):
         Grid(thetas=thetas, phis=2 * np.pi * np.arange(8) / 8, weights=np.ones(8))
+
+
+@pytest.fixture
+def legendre_calls(monkeypatch):
+    """The node count of every ``roots_legendre`` call that ``build_grid`` makes."""
+    calls = []
+    real = sgrid.roots_legendre
+    monkeypatch.setattr(sgrid, "roots_legendre", lambda n: calls.append(n) or real(n))
+    return calls
+
+
+def test_second_check_suite_builds_no_grid(legendre_calls):
+    build_grid.cache_clear()
+    args = dict(nlat=64, nlon=16, lmax=8, ntheta=512)
+    assert all(r.passed for r in verify.run_all_checks(**args))
+    assert sorted(legendre_calls) == [64, 128]  # the suite's grid and the zonal check's 128 x 16
+    legendre_calls.clear()
+    assert all(r.passed for r in verify.run_all_checks(**args))
+    assert legendre_calls == []
+
+
+def test_build_grid_is_cached_per_spec():
+    spec = dict(nlat=24, nlon=8, kind="gauss-legendre")
+    g = build_grid(GridSpec(**spec))
+    assert build_grid(GridSpec(**spec)) is g
+    uniform = build_grid(GridSpec(**{**spec, "kind": "uniform-interior"}))
+    wider = build_grid(GridSpec(**{**spec, "nlon": 16}))
+    assert uniform is not g and not np.array_equal(uniform.thetas, g.thetas)
+    assert wider is not g and wider.nlon == 16 and np.array_equal(wider.thetas, g.thetas)
+
+
+@pytest.mark.parametrize("name", ["thetas", "phis", "weights", "sin_thetas", "cos_thetas", "chis"])
+def test_cached_grid_is_read_only(name):
+    g = build_grid(GridSpec(nlat=12, nlon=8))
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(g, name)[0] = 1.0
+    with pytest.raises(AttributeError):
+        setattr(g, name, np.zeros(g.nlat))
+    assert build_grid(GridSpec(nlat=12, nlon=8)) is g
+
+
+def test_failed_grid_build_is_not_cached(legendre_calls):
+    # a spec that skipped validation: the 3 Gauss nodes are too few for a Grid
+    spec = object.__new__(GridSpec)
+    for field, value in (("nlat", 3), ("nlon", 8), ("kind", "gauss-legendre")):
+        object.__setattr__(spec, field, value)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least 4 colatitude nodes"):
+            build_grid(spec)
+    assert legendre_calls == [3, 3]
+
+
+def test_transform_plan_shares_the_cached_grid():
+    timestep.transform_plan_for.cache_clear()
+    plan = timestep.transform_plan_for(12, True)
+    g = plan.grid
+    assert build_grid(GridSpec(nlat=g.nlat, nlon=g.nlon)) is g

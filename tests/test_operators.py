@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from sphereflow import exact, spharm
+from sphereflow import exact, operators, spharm
 from sphereflow.grid import (
     GridSpec,
     ScalarField,
@@ -266,3 +266,38 @@ def test_mercator_matches_beltrami_on_conformal_grid():
     ml = mercator_laplacian(f.values, h, 2 * np.pi / 16)
     diff = g.sin_thetas[:, None] ** 2 * lb.values - ml
     assert np.max(np.abs(diff[1:-1])) < 1e-8
+
+
+def _roll_dphi(v, dphi):
+    return (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * dphi)
+
+
+def _roll_d2phi(v, dphi):
+    return (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / dphi**2
+
+
+@pytest.mark.parametrize("nlon", [4, 5, 128])
+@pytest.mark.parametrize("kind", ["gauss-legendre", "uniform-interior"])
+def test_longitude_stencils_match_roll_bit_for_bit(kind, nlon):
+    # oracle: the np.roll expressions the operators used to evaluate
+    g = build_grid(GridSpec(nlat=17, nlon=nlon, kind=kind))
+    rng = np.random.default_rng(nlon)
+    psi, omega = (ScalarField(g, rng.standard_normal((g.nlat, nlon))) for _ in range(2))
+    p, w = psi.values, omega.values
+    assert np.array_equal(operators._dphi_values(p, g.dphi), _roll_dphi(p, g.dphi))
+    d2chi = operators._apply_row_stencil(p, operators._second_derivative_coeffs(g.chis))
+    lap = (d2chi + _roll_d2phi(p, g.dphi)) / g.sin_thetas[:, None] ** 2
+    assert np.array_equal(laplace_beltrami_fd(psi).values, lap)
+    dtheta = operators._dtheta_values
+    bracket = _roll_dphi(p, g.dphi) * dtheta(w, g.thetas) - dtheta(p, g.thetas) * _roll_dphi(
+        w, g.dphi
+    )
+    assert np.array_equal(jacobian(psi, omega).values, bracket)
+    h = 0.01
+    merc = np.empty_like(p)
+    merc[1:-1] = p[:-2] - 2.0 * p[1:-1] + p[2:]
+    merc[0] = p[0] - 2.0 * p[1] + p[2]
+    merc[-1] = p[-3] - 2.0 * p[-2] + p[-1]
+    merc /= h**2
+    merc += _roll_d2phi(p, g.dphi)
+    assert np.array_equal(mercator_laplacian(p, h, g.dphi), merc)
