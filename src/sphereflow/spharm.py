@@ -161,30 +161,30 @@ def _order_offsets(lmax: int) -> list:
     return [m * (lmax + 1) - m * (m - 1) // 2 for m in range(lmax + 2)]
 
 
-def _legendre_tables(thetas: np.ndarray, lmax: int) -> np.ndarray:
-    """Packed d/dtheta Pbar_l^m(cos theta) and Pbar_l^m, shape ((L+1)(L+2)/2, 2, ntheta).
+def _legendre_tables(thetas: np.ndarray, lmax: int, orders: int) -> np.ndarray:
+    """Packed d/dtheta Pbar_l^m(cos theta) and Pbar_l^m of the orders m < ``orders``.
 
     Row off[m] + (l - m) holds degree l of order m, [:, 0] the theta
     derivative and [:, 1] the function.  The recurrences run over the
-    diagonal offset k = l - m, each step vectorised over every order.
+    diagonal offset k = l - m, each step vectorised over the orders kept.
     """
     cos_t = np.cos(thetas)
     sin_t = np.sin(thetas)
-    off = np.array(_order_offsets(lmax))
+    off = np.array(_order_offsets(lmax)[: orders + 1])
     tables = np.empty((off[-1], 2, thetas.size))
     dp, p = tables[:, 0], tables[:, 1]
     # k = 0: Pbar_m^m = prod_{j <= m} (-sqrt((2j+1)/(2j)) sin theta) / sqrt(4 pi)
-    j = np.arange(1, lmax + 1, dtype=np.float64)[:, None]
-    factors = np.empty((lmax + 1, thetas.size))
+    j = np.arange(1, orders, dtype=np.float64)[:, None]
+    factors = np.empty((orders, thetas.size))
     factors[0] = 1.0 / math.sqrt(4.0 * math.pi)
     factors[1:] = -np.sqrt((2.0 * j + 1.0) / (2.0 * j)) * sin_t
     p[off[:-1]] = np.cumprod(factors, axis=0)
-    m = np.arange(lmax, dtype=np.float64)[:, None]
-    rows = off[:-2] + 1
+    m = np.arange(min(lmax, orders), dtype=np.float64)[:, None]
+    rows = off[: m.size] + 1
     p[rows] = np.sqrt(2.0 * m + 3.0) * cos_t * p[rows - 1]
     for k in range(2, lmax + 1):
-        m = np.arange(lmax + 1 - k, dtype=np.float64)[:, None]
-        rows = off[: lmax + 1 - k] + k
+        m = np.arange(min(lmax + 1 - k, orders), dtype=np.float64)[:, None]
+        rows = off[: m.size] + k
         l = m + k
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
         b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
@@ -192,7 +192,7 @@ def _legendre_tables(thetas: np.ndarray, lmax: int) -> np.ndarray:
     # d/dtheta from the degree-lowering relation against the row above in
     # the same order block; diagonal rows (l = m) carry c = 0
     counts = np.diff(off)
-    m = np.repeat(np.arange(lmax + 1, dtype=np.float64), counts)[:, None]
+    m = np.repeat(np.arange(orders, dtype=np.float64), counts)[:, None]
     l = m + (np.arange(off[-1]) - np.repeat(off[:-1], counts))[:, None]
     c = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
     np.multiply(l, cos_t, out=dp)
@@ -213,17 +213,25 @@ class TransformPlan:
     l = m..lmax of order m, with off[m] = m(lmax+1) - m(m-1)/2, so one order
     of both tables is one contiguous block.  The southern rows follow from
     the parity Pbar_l^m(pi - theta) = (-1)^(l-m) Pbar_l^m(theta), under which
-    d/dtheta Pbar_l^m has the opposite parity.
+    d/dtheta Pbar_l^m has the opposite parity.  Read-only, and built on first
+    read; :func:`_zonal_rows` reads ``_zonal_plm``, an order-0 block built alone.
     """
 
     grid: Grid
     lmax: int
-    tables: np.ndarray
 
-    def __post_init__(self):
-        a = np.ascontiguousarray(self.tables)
+    @functools.cached_property
+    def tables(self) -> np.ndarray:
+        return self._northern_tables(self.lmax + 1)
+
+    @functools.cached_property
+    def _zonal_plm(self) -> np.ndarray:
+        return self._northern_tables(1)[:, 1]  # the bytes of plm_blocks[0]
+
+    def _northern_tables(self, orders: int) -> np.ndarray:
+        a = _legendre_tables(self.grid.thetas[: (self.grid.nlat + 1) // 2], self.lmax, orders)
         a.setflags(write=False)
-        object.__setattr__(self, "tables", a)
+        return a
 
     @property
     def plm(self) -> np.ndarray:
@@ -250,7 +258,7 @@ class TransformPlan:
 
 
 def build_plan(grid: Grid, lmax: int) -> TransformPlan:
-    """Precompute the northern-row Legendre tables; the grid must resolve degree lmax.
+    """Bind a grid that resolves degree lmax to a plan; its tables are built on first read.
 
     Requires nlat >= lmax + 1 and nlon >= 2*lmax + 1 so that analysis of a
     band-limited field is exact on Gauss-Legendre grids, and a grid mirrored
@@ -274,7 +282,7 @@ def build_plan(grid: Grid, lmax: int) -> TransformPlan:
             "grid is not mirrored about the equator: row nlat-1-i needs colatitude "
             "pi - theta_i and the weight of row i, bit for bit"
         )
-    return TransformPlan(grid=grid, lmax=lmax, tables=_legendre_tables(t[:north], lmax))
+    return TransformPlan(grid=grid, lmax=lmax)
 
 
 def _require_plan_grid(f: ScalarField, plan: TransformPlan) -> None:
@@ -389,12 +397,12 @@ def _zonal_rows(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
     """Rows sum_l a[k, l] Pbar_l^0(cos theta_i) of each order-0 column a[k]: the order-0
     GEMM of ``_order_profiles`` once per column (a batched one gives other bytes under
     some BLAS kernels), folded the same way, so a zonal field's row holds the bytes of
-    every longitude of its :func:`synthesize`."""
+    every longitude of its :func:`synthesize`; it builds no table of an order m >= 1."""
     g, n, nh = plan.grid, a.shape[1], plan.grid.nlat // 2
     pairs = np.zeros((a.shape[0], plan.lmax + 1, 2), dtype=np.complex128)  # [k, l, parity]
     pairs[:, 0:n:2, 0] = a[:, 0::2]
     pairs[:, 1:n:2, 1] = a[:, 1::2]
-    profile = plan.plm_blocks[0].T @ pairs.view(np.float64)  # E re, E im, O re, O im
+    profile = plan._zonal_plm.T @ pairs.view(np.float64)  # E re, E im, O re, O im
     rows = np.empty((a.shape[0], g.nlat))
     np.add(profile[..., 0], profile[..., 2], out=rows[:, : profile.shape[1]])
     np.subtract(profile[:, :nh, 0], profile[:, :nh, 2], out=rows[:, : -nh - 1 : -1])

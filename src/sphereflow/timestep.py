@@ -18,14 +18,14 @@ and enstrophy up to time-integration error.
 A zonal state (every order m >= 1 exactly zero) has an exactly zero bracket
 (both phi-derivatives vanish on every node), so the scheme gives
 a_l(t_k) = a_l(0) E_l^k.  :func:`evolve` tests zonality once, on the initial
-state, and then runs no stage: it forms the states as sequential products
-and synthesises them in one call with the order-0 product of
-:func:`sphereflow.spharm.synthesize`, with the same bytes the stepped loop
-would give.  Transform plans are cached
-per (lmax, dealias), at most :data:`PLAN_CACHE_SIZE` per process (about
-12.7 MB of northern-row Legendre tables each at lmax 127, on a 192 x 384
-grid).  A step whose grid maximum of |omega| is not finite, or more than
-ten times the initial one, raises :class:`InstabilityError`.
+state, and then runs no stage: it forms the states as sequential products,
+a block of them at a time, and synthesises each block with the order-0
+product of :func:`sphereflow.spharm.synthesize`, with the bytes the stepped
+loop would give; one loop records the blocks of both paths.  Transform plans
+are cached per (lmax, dealias), at most :data:`PLAN_CACHE_SIZE` per process;
+a plan builds its tables on first read (12.7 MB at lmax 127), and a zonal run
+reads only their order-0 block.  A step whose grid maximum of |omega| is not
+finite, or more than ten times the initial one, raises :class:`InstabilityError`.
 
 Used here mainly to demonstrate that the vortex-pair flow is steady: its
 spectral truncation, taken in closed form, is zonal, the bracket vanishes
@@ -197,7 +197,7 @@ def _energy_enstrophy(level: np.ndarray):
     Degrees run along the last axis, so a stack of states gives one value per state.
     """
     energy = 0.5 * np.vecdot(level, _inverse_eigenvalues(level.shape[-1] - 1))
-    enstrophy = 0.5 * np.sum(level, axis=-1)
+    enstrophy = 0.5 * level.sum(axis=-1)
     return energy, enstrophy
 
 
@@ -210,18 +210,11 @@ def _viscous_factors(cfg: EvolutionConfig):
     return np.exp(z), np.exp(0.5 * z)
 
 
-def _check_growth(max_omega: np.ndarray, k: int, t: float) -> None:
-    """Raise :class:`InstabilityError` unless max_omega[k] <= 10 * max_omega[0]."""
-    # written so that a NaN maximum fails the test too
-    if not max_omega[k] <= 10.0 * max_omega[0]:
-        raise InstabilityError(
-            f"|omega| reached {max_omega[k]:.3e} at t={t:.4g}, not finite or "
-            f"more than ten times the initial {max_omega[0]:.3e}"
-        )
+_ZONAL_BLOCK = 256  # states per block of the zonal march, whatever the number of steps
 
 
-def _lawson_steps(omega0, cfg, plan, band, times):
-    """Lawson RK4 steps, recording the diagnostics of each state as it is formed.
+def _lawson_steps(omega0, cfg, plan):
+    """Lawson RK4 steps, yielding the block (power, grid values) of one state at a time.
 
     With u = exp(nu l(l+1) t) a, E and E_half from :func:`_viscous_factors`
     and N the bracket term -(1/sin) J(psi, omega), one step from c is
@@ -232,58 +225,41 @@ def _lawson_steps(omega0, cfg, plan, band, times):
 
     summed in the order of the classical scheme, which it equals at nu = 0.
     """
-    n, L, dt = cfg.steps, cfg.lmax, cfg.dt
-    energy, enstrophy, max_omega, drift = np.empty((4, n + 1))
+    L, dt = cfg.lmax, cfg.dt
     E, E_half = _viscous_factors(cfg)
-    values0 = spharm.synthesize(omega0, plan).values
-
-    def record(k: int, omega: spharm.SpectralField, values: np.ndarray) -> None:
-        energy[k], enstrophy[k] = _energy_enstrophy(spharm.power(omega).sum(axis=1))
-        max_omega[k] = float(np.max(np.abs(values)))
-        drift[k] = float(np.max(np.abs(values[band] - values0[band])))
-        _check_growth(max_omega, k, times[k])
-
     # each stage's coefficients are freed once its field holds a copy, before the transforms
     field = functools.partial(spharm.SpectralField, L)
     omega = omega0
-    record(0, omega, values0)
-    for k in range(1, n + 1):
-        c = omega.coeffs
-        k1 = -_advection_coeffs(omega, plan)
-        k2 = -_advection_coeffs(field(E_half * (c + 0.5 * dt * k1)), plan)
-        k3 = -_advection_coeffs(field(E_half * c + 0.5 * dt * k2), plan)
-        k4 = -_advection_coeffs(field(E * c + dt * (E_half * k3)), plan)
-        c = E * c + (dt / 6.0) * (E * k1 + 2.0 * E_half * k2 + 2.0 * E_half * k3 + k4)
-        omega = spharm.SpectralField(L, c)
-        record(k, omega, spharm.synthesize(omega, plan).values)
-    return energy, enstrophy, max_omega, drift
+    for k in range(cfg.steps + 1):
+        if k:
+            c = omega.coeffs
+            k1 = -_advection_coeffs(omega, plan)
+            k2 = -_advection_coeffs(field(E_half * (c + 0.5 * dt * k1)), plan)
+            k3 = -_advection_coeffs(field(E_half * c + 0.5 * dt * k2), plan)
+            k4 = -_advection_coeffs(field(E * c + dt * (E_half * k3)), plan)
+            c = E * c + (dt / 6.0) * (E * k1 + 2.0 * E_half * k2 + 2.0 * E_half * k3 + k4)
+            omega = field(c)
+        yield spharm.power(omega).sum(axis=1)[None], spharm.synthesize(omega, plan).values[None]
 
 
-def _zonal_decay(omega0, cfg, plan, band, times):
+def _zonal_decay(omega0, cfg, plan):
     """The Lawson steps of a zonal state, with no stage and no bracket.
 
     Every bracket of a zonal state is exactly zero, so step k multiplies
     a_l by E_l alone: the states are the sequential products a_l(0) E_l^k,
-    formed by ``cumprod`` with the bytes of :func:`_lawson_steps`.  Their
-    diagnostics take the stepped loop's arithmetic, and so its bytes: the
-    per-degree power of a zonal state is |a_l|^2, and
-    :func:`~sphereflow.spharm._zonal_rows` runs the order-0 GEMM of
-    :func:`~sphereflow.spharm.synthesize` once per state.
+    formed by ``cumprod`` with the bytes of :func:`_lawson_steps`, block by
+    block, each from the last state of the block before.  A block's power is
+    |a_l|^2, and its grid values are the rows of
+    :func:`~sphereflow.spharm._zonal_rows`, constant in longitude.
     """
-    n, L = cfg.steps, cfg.lmax
-    E, _ = _viscous_factors(cfg)
-    factors = np.empty((n + 1, L + 1), dtype=np.complex128)
+    n, E = cfg.steps, _viscous_factors(cfg)[0]
+    factors = np.full((min(n, _ZONAL_BLOCK) + 1, cfg.lmax + 1), E[:, 0], dtype=np.complex128)
     factors[0] = omega0.coeffs[:, 0]
-    factors[1:] = E[:, 0]
-    a = np.cumprod(factors, axis=0)  # [step, l]
-    energy, enstrophy = _energy_enstrophy(np.abs(a) ** 2)
-    rows = spharm._zonal_rows(a, plan)  # constant in longitude: the grid maxima are theirs
-    max_omega = np.max(np.abs(rows), axis=1)
-    drift = np.max(np.abs(rows[:, band] - rows[0, band]), axis=1)
-    unstable = np.flatnonzero(~(max_omega <= 10.0 * max_omega[0]))
-    if unstable.size:
-        _check_growth(max_omega, unstable[0], times[unstable[0]])
-    return energy, enstrophy, max_omega, drift
+    for start in range(0, n, _ZONAL_BLOCK):
+        a = np.cumprod(factors[: min(n - start, _ZONAL_BLOCK) + 1], axis=0)  # [state, l]
+        a = a[1:] if start else a  # a carried first state was yielded with its block
+        yield np.abs(a) ** 2, spharm._zonal_rows(a, plan)[:, :, None]
+        factors[0] = a[-1]
 
 
 def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
@@ -305,8 +281,9 @@ def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
     in_band = np.flatnonzero(plan.grid.band_mask(*DEFAULT_BAND))
     band = slice(in_band[0], in_band[-1] + 1)  # one run of rows: the colatitudes increase
     times = cfg.dt * np.arange(cfg.steps + 1)
+    energy, enstrophy, max_omega, drift = np.empty((4, cfg.steps + 1))
     march = _lawson_steps if omega0.coeffs[:, 1:].any() else _zonal_decay
-    # a blow-up overflows inside the stages; _check_growth reports it as InstabilityError
+    # a blow-up overflows inside the stages; the growth test reports it as InstabilityError
     with np.errstate(over="ignore", invalid="ignore"):
         # first, so a state past double precision is reported as that, whatever its mean
         energy0, enstrophy0 = _energy_enstrophy(spharm.power(omega0).sum(axis=1))
@@ -316,7 +293,22 @@ def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
                 "overflows double precision"
             )
         spharm.check_gauss_constraint(omega0)
-        energy, enstrophy, max_omega, drift = march(omega0, cfg, plan, band, times)
+        j = 0
+        for level, values in march(omega0, cfg, plan):
+            k, j = j, j + len(level)
+            energy[k:j], enstrophy[k:j] = _energy_enstrophy(level)
+            max_omega[k:j] = np.abs(values).max(axis=(1, 2))
+            values0 = values[0, band] if k == 0 else values0
+            drift[k:j] = np.abs(values[:, band] - values0).max(axis=(1, 2))
+            # written so that a NaN maximum fails the test too
+            unstable = np.flatnonzero(~(max_omega[k:j] <= 10.0 * max_omega[0]))
+            if unstable.size:
+                k += unstable[0]
+                raise InstabilityError(
+                    f"|omega| reached {max_omega[k]:.3e} at t={times[k]:.4g}, not finite or "
+                    f"more than ten times the initial {max_omega[0]:.3e}"
+                )
+            del level, values  # freed before the march forms the next state
     return TimeSeries(
         times=times, energy=energy, enstrophy=enstrophy, max_omega=max_omega, drift=drift
     )

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -196,6 +197,29 @@ def test_evolve_rejects_asymmetric_spectral_file(tmp_path, rows, line, pair):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"line {line}: a_({pair})" in proc.stderr
+
+
+def test_zonal_evolve_holds_no_full_legendre_table(tmp_path):
+    # at lmax 383 the full tables would be 341 MB; the zonal run reads only
+    # their order-0 block.  The child reports its own peak resident set, VmHWM
+    # (ru_maxrss would carry this process's peak across the exec), in kB, and
+    # one BLAS thread keeps thread buffers out of it
+    script = (
+        "import re, sys\n"
+        "from sphereflow.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "evolve", "--init", "basic", "--lmax", "383",
+         "--steps", "20", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) / 1024 < 150
+    assert (tmp_path / "timeseries.csv").exists()
 
 
 def test_evolve_blow_up_exits_one_without_output(tmp_path):

@@ -47,7 +47,7 @@ def _packed_row(table, plan, l, m):
 def _all_rows(plan):
     """(plm, dplm) packed like the plan's, but on every grid row: the recurrences
     run at each colatitude, southern rows included, with no parity fold."""
-    tables = spharm._legendre_tables(plan.grid.thetas, plan.lmax)
+    tables = spharm._legendre_tables(plan.grid.thetas, plan.lmax, plan.lmax + 1)
     return tables[:, 1], tables[:, 0]
 
 
@@ -341,6 +341,19 @@ def _zonal_synthesis(c, plan):
     """The order-0 rows of ``evolve``'s zonal path, repeated in longitude."""
     rows = spharm._zonal_rows(c.coeffs[None, :, 0], plan)[0]
     return np.repeat(rows[:, None], plan.grid.nlon, axis=1)
+
+
+@pytest.mark.parametrize("lmax", [15, 31, 63, 127, 255])
+def test_zonal_synthesis_table_is_the_order_0_block_of_the_plan(lmax):
+    # the zonal rows read an order-0 table that the recurrences build alone:
+    # it must hold the bytes of the full plan's first order block
+    grid = timestep.transform_plan_for(lmax, True).grid
+    north = grid.thetas[: (grid.nlat + 1) // 2]
+    alone = spharm._legendre_tables(north, lmax, 1)
+    plan = spharm.build_plan(grid, lmax)
+    assert alone.shape == (lmax + 1, 2, north.size)
+    assert alone.tobytes() == plan.tables[: lmax + 1].tobytes()
+    assert plan._zonal_plm.tobytes() == plan.plm_blocks[0].tobytes()
 
 
 @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "plain"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -176,10 +177,13 @@ def count_transforms(monkeypatch):
     return calls
 
 
-# lmax 127 runs the zonal path's stacked order-0 GEMM on the largest table
+# lmax 127 runs the zonal path's stacked order-0 GEMM on the largest table, and
+# "blocks" runs the pair two steps past the zonal path's first block of states,
+# so the stepped loop checks the cumprod carried from one block to the next
 ZONAL_CASES = [("pair", L, d) for L in (15, 31, 63) for d in (True, False)] + [
     ("random", 20, True),
     ("pair", 127, True),
+    ("blocks", 15, True),
 ]
 
 
@@ -189,12 +193,13 @@ def test_zonal_shortcut_equals_transform_path(kind, lmax, dealias, count_transfo
     # path, so evolve's zonal path, which runs no stage, must give the bytes
     # of the Lawson loop forced through that path on the same state
     plan = timestep.transform_plan_for(lmax, dealias)
-    omega = timestep.project_vortex_pair(P1, lmax) if kind == "pair" else random_zonal(lmax, 5)
+    omega = random_zonal(lmax, 5) if kind == "random" else timestep.project_vortex_pair(P1, lmax)
     full = _transform_bracket(omega, plan)
     assert not full.any()
     assert np.array_equal(timestep._advection_coeffs(omega, plan), full)
     dt = min(0.05, 1.4 / (0.01 * lmax * (lmax + 1)))  # the step rule of steadiness_drift
-    cfg = EvolutionConfig(nu=0.01, dt=dt, steps=6, lmax=lmax, dealias=dealias)
+    steps = timestep._ZONAL_BLOCK + 2 if kind == "blocks" else 6
+    cfg = EvolutionConfig(nu=0.01, dt=dt, steps=steps, lmax=lmax, dealias=dealias)
     del count_transforms[:]
     short = evolve(omega, cfg)
     assert count_transforms == []
@@ -248,6 +253,50 @@ def test_zonal_evolve_never_transforms_the_bracket(count_transforms, count_order
     assert solves == []
     assert tendencies == []
     assert series.drift[-1] > 0.0
+
+
+@pytest.fixture
+def table_orders(monkeypatch):
+    """The ``orders`` of every Legendre table built, from a cold plan cache."""
+    orders = []
+    real = spharm._legendre_tables
+
+    def counted(thetas, lmax, n):
+        orders.append(n)
+        return real(thetas, lmax, n)
+
+    monkeypatch.setattr(spharm, "_legendre_tables", counted)
+    timestep.transform_plan_for.cache_clear()
+    yield orders
+    timestep.transform_plan_for.cache_clear()
+
+
+def test_zonal_evolve_builds_no_table_of_an_order_above_0(table_orders):
+    # the zonal rows read an order-0 block built alone; the full tables of the
+    # same cached plan are built when a non-zonal run first reads them
+    L = 63
+    cfg = EvolutionConfig(nu=0.01, dt=1e-3, steps=3, lmax=L)
+    evolve(timestep.project_vortex_pair(P1, L), cfg)
+    assert table_orders == [1]
+    evolve(spharm.random_real_field(L, np.random.default_rng(3)), cfg)
+    assert table_orders == [1, L + 1]
+
+
+def test_zonal_evolve_memory_does_not_grow_with_steps():
+    # the zonal path forms and synthesises its states a block at a time, so
+    # only the returned series, 40 bytes a state, grows with the steps
+    L = 127
+    omega = timestep.project_vortex_pair(P1, L)
+    evolve(omega, EvolutionConfig(nu=0.01, dt=1e-4, steps=2, lmax=L))  # the plan, cached
+    peaks = []
+    for steps in (1000, 30000):
+        tracemalloc.start()
+        try:
+            evolve(omega, EvolutionConfig(nu=0.01, dt=1e-4, steps=steps, lmax=L))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 10e6, peaks
 
 
 def test_zonal_evolve_checks_gauss_before_recording(monkeypatch):
@@ -367,7 +416,21 @@ def test_vortex_pair_streamfunction_converges_to_the_dilogarithm_profile():
     assert errors[0] > errors[1] > errors[2]
 
 
-@pytest.mark.parametrize("lmax,expected", [(15, 0.0201), (31, 0.0106), (63, 0.0047)])
+# Past lmax 63 the relative bound fails, on the stepped loop as well: the
+# rounded factor E_l is applied once a step, and the step count grows as
+# lmax^2, so the computed drift is off by 3.1e-12, 1.05e-11 and 2.3e-10 of
+# the exact one (an mpmath sum agrees with the oracle to 3e-13)
+_ROUNDED_DECAY = pytest.mark.xfail(
+    raises=AssertionError, strict=True, reason="E_l rounded once, applied every step"
+)
+
+
+@pytest.mark.parametrize(
+    "lmax,expected",
+    [(15, 0.0201), (31, 0.0106), (63, 0.0047)]
+    + [pytest.param(L, d, marks=_ROUNDED_DECAY) for L, d in
+       [(127, 0.001893), (255, 0.0007116), (511, 0.0002488)]],
+)
 def test_steadiness_drift_matches_exact_viscous_decay(lmax, expected):
     # a zonal state decays as a_l exp(-nu l(l+1) t); with the vortex pair's
     # closed-form a_l, the band drift of that decay on the plan's band nodes is
