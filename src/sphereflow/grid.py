@@ -131,6 +131,11 @@ class ScalarField:
             )
 
 
+def _same_nodes(a: Grid, b: Grid) -> bool:
+    """True when ``a`` and ``b`` are one grid, or two with equal colatitudes and longitudes."""
+    return a is b or (np.array_equal(a.thetas, b.thetas) and np.array_equal(a.phis, b.phis))
+
+
 def band_max(field: ScalarField, band) -> float:
     """Max |value| over the rows with band[0] <= theta <= band[1]; ValueError if none."""
     mask = field.grid.band_mask(*band)

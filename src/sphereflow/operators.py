@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .grid import Grid, ScalarField, _readonly
+from .grid import Grid, ScalarField, _readonly, _same_nodes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,18 +46,9 @@ class VelocityField:
 
 
 def _require_same_grid(a, b) -> Grid:
-    ga, gb = a.grid, b.grid
-    if ga is gb:
-        return ga
-    same = (
-        ga.thetas.shape == gb.thetas.shape
-        and ga.phis.shape == gb.phis.shape
-        and np.array_equal(ga.thetas, gb.thetas)
-        and np.array_equal(ga.phis, gb.phis)
-    )
-    if not same:
+    if not _same_nodes(a.grid, b.grid):
         raise ValueError("fields live on different grids")
-    return ga
+    return a.grid
 
 
 def _periodic_neighbours(n: int):

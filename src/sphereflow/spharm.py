@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .grid import Grid, ScalarField
+from .grid import Grid, ScalarField, _same_nodes
 
 #: Relative bound on the mean vorticity accepted by :func:`check_gauss_constraint`.
 GAUSS_CONSTRAINT_RTOL = 1e-10
@@ -286,12 +286,7 @@ def build_plan(grid: Grid, lmax: int) -> TransformPlan:
 
 
 def _require_plan_grid(f: ScalarField, plan: TransformPlan) -> None:
-    if f.grid is plan.grid:
-        return
-    if not (
-        np.array_equal(f.grid.thetas, plan.grid.thetas)
-        and np.array_equal(f.grid.phis, plan.grid.phis)
-    ):
+    if not _same_nodes(f.grid, plan.grid):
         raise ValueError("field grid does not match the transform plan")
 
 

@@ -283,14 +283,32 @@ def test_evolve_outputs_are_deterministic(tmp_path):
     ).read_bytes()
 
 
-def test_evolve_rejects_unstable_step(tmp_path):
-    code = main(
-        [
-            "evolve", "--init", "harmonic:2,1", "--lmax", "63", "--nu", "1.0",
-            "--dt", "0.01", "--steps", "10", "--out", str(tmp_path),
-        ]
-    )
-    assert code == 2  # dt*nu*lmax*(lmax+1) = 40 >> 2.8: rejected up front
+def test_evolve_takes_a_stiff_viscous_step_exactly(tmp_path, capsys):
+    # dt*nu*lmax*(lmax+1) = 40, but the integrating factor applies the decay
+    # exactly: the l = 2 mode has a zero bracket, and its enstrophy decays as
+    # exp(-2 nu l(l+1) t) = exp(-1.2) at t = 0.1
+    argv = ["evolve", "--init", "harmonic:2,1", "--lmax", "63", "--nu", "1.0",
+            "--dt", "0.01", "--steps", "10", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    ratio = float(capsys.readouterr().out.split()[5].rstrip(","))
+    assert ratio == pytest.approx(math.exp(-1.2), rel=1e-12)
+    t, _, enstrophy, _, _ = np.loadtxt(tmp_path / "timeseries.csv", delimiter=",", skiprows=1).T
+    assert t[-1] == pytest.approx(0.1, rel=1e-15)
+    assert enstrophy[-1] / enstrophy[0] == ratio
+
+
+@pytest.mark.parametrize("nu,dt,name", [("0", "1e308", "dt*steps"), ("1e200", "1e200", "nu*dt")])
+def test_evolve_rejects_a_run_whose_time_or_decay_overflows(tmp_path, capsys, nu, dt, name):
+    # t = dt*steps would be written as inf, and nu*dt = inf would make E_0 = NaN
+    # and report a false instability
+    out = tmp_path / "out"
+    argv = ["evolve", "--init", "basic", "--lmax", "15", "--nu", nu, "--dt", dt,
+            "--steps", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {name} = inf overflows double precision"
+    ]
+    assert not (out / "timeseries.csv").exists()
 
 
 def test_evolve_rejects_bad_init(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from sphereflow import exact, timestep, verify
+from sphereflow import exact, operators, spharm, timestep, verify
 from sphereflow import grid as sgrid
 from sphereflow.grid import (
     Grid,
@@ -145,6 +145,23 @@ def test_unknown_kind_rejected():
 def test_field_shape_mismatch_rejected(gl_grid):
     with pytest.raises(ValueError):
         ScalarField(gl_grid, np.zeros((3, 3)))
+
+
+def test_operators_and_transforms_share_one_grid_equality():
+    # equal nodes are the same grid whatever the weights or the object; other
+    # nodes raise, with the message of the layer that caught them
+    g = build_grid(GridSpec(nlat=8, nlon=8))
+    twin = grid_from_colatitudes(g.thetas.copy(), 8)
+    assert twin is not g and not np.array_equal(twin.weights, g.weights)
+    zero = lambda grid: ScalarField(grid, np.zeros((grid.nlat, grid.nlon)))
+    assert np.array_equal(operators.jacobian(zero(g), zero(twin)).values, zero(g).values)
+    plan = spharm.build_plan(g, 3)
+    spharm.analyze(zero(twin), plan)
+    for other in (build_grid(GridSpec(nlat=10, nlon=8)), build_grid(GridSpec(nlat=8, nlon=16))):
+        with pytest.raises(ValueError, match="^fields live on different grids$"):
+            operators.jacobian(zero(g), zero(other))
+        with pytest.raises(ValueError, match="^field grid does not match the transform plan$"):
+            spharm.analyze(zero(other), plan)
 
 
 def test_grid_arrays_are_immutable(gl_grid):

@@ -39,10 +39,11 @@ P1 = exact.VortexPairParams(k1=1.0, k2=0.0)
         dict(nu=0.1, dt=1e-3, steps=0, lmax=8),
         dict(nu=0.1, dt=1e-3, steps=10, lmax=1),
         dict(nu=0.1, dt=-1e-3, steps=10, lmax=8),
-        dict(nu=1.0, dt=0.05, steps=10, lmax=8),  # 0.05*72 = 3.6 > 2.8
+        dict(nu=0.0, dt=1e308, steps=2, lmax=8),  # dt*steps = inf: an inf time
         dict(nu=math.nan, dt=1e-3, steps=10, lmax=8),
         dict(nu=0.1, dt=math.nan, steps=10, lmax=8),
         dict(nu=0.0, dt=math.inf, steps=10, lmax=8),
+        dict(nu=1e200, dt=1e200, steps=1, lmax=8),  # nu*dt = inf: E_0 = exp(inf * -0.0) = NaN
     ],
 )
 def test_config_validation(kwargs):
@@ -197,7 +198,8 @@ def test_zonal_shortcut_equals_transform_path(kind, lmax, dealias, count_transfo
     full = _transform_bracket(omega, plan)
     assert not full.any()
     assert np.array_equal(timestep._advection_coeffs(omega, plan), full)
-    dt = min(0.05, 1.4 / (0.01 * lmax * (lmax + 1)))  # the step rule of steadiness_drift
+    # at most 0.05, and short enough that the top degree decays by no more than exp(-1.4) a step
+    dt = min(0.05, 1.4 / (0.01 * lmax * (lmax + 1)))
     steps = timestep._ZONAL_BLOCK + 2 if kind == "blocks" else 6
     cfg = EvolutionConfig(nu=0.01, dt=dt, steps=steps, lmax=lmax, dealias=dealias)
     del count_transforms[:]
@@ -416,26 +418,15 @@ def test_vortex_pair_streamfunction_converges_to_the_dilogarithm_profile():
     assert errors[0] > errors[1] > errors[2]
 
 
-# Past lmax 63 the relative bound fails, on the stepped loop as well: the
-# rounded factor E_l is applied once a step, and the step count grows as
-# lmax^2, so the computed drift is off by 3.1e-12, 1.05e-11 and 2.3e-10 of
-# the exact one (an mpmath sum agrees with the oracle to 3e-13)
-_ROUNDED_DECAY = pytest.mark.xfail(
-    raises=AssertionError, strict=True, reason="E_l rounded once, applied every step"
-)
-
-
 @pytest.mark.parametrize(
     "lmax,expected",
-    [(15, 0.0201), (31, 0.0106), (63, 0.0047)]
-    + [pytest.param(L, d, marks=_ROUNDED_DECAY) for L, d in
-       [(127, 0.001893), (255, 0.0007116), (511, 0.0002488)]],
+    [(15, 0.0201), (31, 0.0106), (63, 0.0047), (127, 0.001893), (255, 0.0007116), (511, 0.0002488)],
 )
 def test_steadiness_drift_matches_exact_viscous_decay(lmax, expected):
     # a zonal state decays as a_l exp(-nu l(l+1) t); with the vortex pair's
     # closed-form a_l, the band drift of that decay on the plan's band nodes is
     # the drift steadiness_drift must report, to rounding: the integrating
-    # factor applies that decay exactly
+    # factor applies that decay exactly, in one step, so E_l is rounded once
     nu, t_final = 0.01, 0.5  # the drift-sweep parameters
     ls = np.arange(lmax + 1, dtype=float)
     odd = ls % 2 == 1
@@ -447,6 +438,21 @@ def test_steadiness_drift_matches_exact_viscous_decay(lmax, expected):
     exact_drift = np.max(np.abs(((np.exp(-nu * ls * (ls + 1.0) * t_final) - 1.0) * a) @ y))
     assert exact_drift == pytest.approx(expected, abs=5e-5)
     assert abs(steadiness_drift(P1, lmax, nu, t_final) / exact_drift - 1.0) <= 1e-12
+
+
+def test_steadiness_drift_takes_its_horizon_in_one_step(monkeypatch):
+    # one exact step of length t_final at any truncation and viscosity: no step
+    # count grows with nu lmax^2, and E_l is rounded once
+    configs = []
+    real = timestep.evolve
+    monkeypatch.setattr(timestep, "evolve", lambda omega, cfg: configs.append(cfg) or real(omega, cfg))
+    for lmax, nu, dealias in [(15, 0.01, True), (255, 0.01, False), (63, 10.0, True)]:
+        assert steadiness_drift(P1, lmax, nu, 0.5, dealias=dealias) > 0.0
+    assert configs == [
+        EvolutionConfig(nu=0.01, dt=0.5, steps=1, lmax=15, dealias=True),
+        EvolutionConfig(nu=0.01, dt=0.5, steps=1, lmax=255, dealias=False),
+        EvolutionConfig(nu=10.0, dt=0.5, steps=1, lmax=63, dealias=True),
+    ]
 
 
 def test_zonal_drift_run_never_takes_the_l2_norm(monkeypatch):
