@@ -18,7 +18,8 @@ pinned in :mod:`sphereflow.operators` (u_phi = -psi', -lap(psi) = omega):
 continuous with limit 0 at both poles and extremal at the equator, where
 u_phi = -k1*log(2).  The last form is a sum of two terms <= 0, so no digits
 cancel; with a = min(s, c) and b = max(s, c) it is evaluated as
-2 a^2 log(a) + b^2 log1p(-a^2), which keeps full precision at either pole.
+2 a^2 log(a) + b^2 log1p(-a^2), which keeps full precision at either pole
+down to theta ~ 3e-154; below that a^2 underflows, and u_phi raises.
 
 The streamfunction psi = -int_0^theta u_phi, gauged to 0 at the north pole,
 has a closed form through the dilogarithm Li2.  With chi = log(tan(theta/2)),
@@ -48,6 +49,9 @@ import numpy as np
 
 from .grid import Grid, ScalarField
 from .operators import VelocityField
+
+# below this colatitude sin^2(theta/2) is subnormal and u_phi loses its digits
+_VELOCITY_THETA_MIN = 2.0 * math.asin(math.sqrt(np.finfo(np.float64).tiny))
 
 # B_2k / (2k+1)! for k = 1..8, the odd terms of the Bernoulli series of Li2
 _DILOG_BERNOULLI = (
@@ -100,10 +104,16 @@ def azimuthal_velocity(theta, p: VortexPairParams):
 
     Only the vortex-pair part enters: a nonzero offset k2 has no globally
     defined streamfunction on a closed surface (its total vorticity cannot
-    vanish), so the velocity of the family is the k1 part alone.
+    vanish), so the velocity of the family is the k1 part alone.  A theta
+    below 3e-154, where sin^2(theta/2) underflows, raises ValueError.
     """
     t = np.asarray(theta, dtype=np.float64)
     _check_interior(t)
+    if np.any(t < _VELOCITY_THETA_MIN):
+        raise ValueError(
+            f"u_phi needs theta >= {_VELOCITY_THETA_MIN:.17g}, "
+            "below which sin^2(theta/2) underflows"
+        )
     u = p.k1 * _velocity_integral(t) / np.sin(t)
     return float(u) if t.ndim == 0 else u
 

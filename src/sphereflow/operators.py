@@ -7,9 +7,10 @@ Sign conventions, used consistently everywhere in this package:
     omega   = curl_r(u) = (1/sin(theta)) [d(sin(theta) u_phi)/dtheta - du_theta/dphi]
             = -lap(psi)
 
-Longitude derivatives are centered and periodic.  Colatitude stencils are
-three-point and handle arbitrary node placement (Gauss-Legendre grids are not
-uniform); the first and last rows fall back to shifted three-point stencils.
+Longitude derivatives are centered and periodic.  Colatitude stencils follow
+one three-point rule on any node placement: row i differentiates the quadratic
+through the nodes around its center c = min(max(i, 1), n-2), so an end row uses
+its neighbour's nodes, and a second derivative's end rows equal their neighbours'.
 The Laplace-Beltrami operator is discretized in the conformal latitude
 chi = log(tan(theta/2)), where it reduces to a plain Laplacian scaled by
 1/sin^2(theta).  This keeps the stencil second-order on any node placement
@@ -86,70 +87,36 @@ def _d2phi_values(values: np.ndarray, dphi: float) -> np.ndarray:
     return out
 
 
-def _first_derivative_coeffs(x: np.ndarray):
-    """Three-point first-derivative weights on arbitrary nodes.
+def _three_point_weights(x: np.ndarray, order: int):
+    """Outer weights (c_-, c_+) of the order-1 or order-2 derivative at each node x_i.
 
-    Interior rows are centered; the end rows use the shifted stencil over the
-    first (last) three nodes.  All stencils are exact for quadratics.  Only
-    the outer weights are returned: stencils are applied in difference form,
-    which annihilates constants exactly.
+    Row i differentiates the quadratic through x_{c-1}, x_c, x_{c+1}, with
+    c = min(max(i, 1), n-2), at x_i: the three-point case of Fornberg (1988).
     """
-    n = x.size
-    cm = np.zeros(n)
-    cp = np.zeros(n)
-    a = x[1:-1] - x[:-2]
-    b = x[2:] - x[1:-1]
-    cm[1:-1] = -b / (a * (a + b))
-    cp[1:-1] = a / (b * (a + b))
-    # end rows: derivative at the edge node, expanded about its neighbour
-    h1, h2 = x[1] - x[0], x[2] - x[1]
-    cm[0] = -(2.0 * h1 + h2) / (h1 * (h1 + h2))
-    cp[0] = -h1 / (h2 * (h1 + h2))
-    g1, g2 = x[-1] - x[-2], x[-2] - x[-3]
-    cm[-1] = g1 / (g2 * (g1 + g2))
-    cp[-1] = (2.0 * g1 + g2) / (g1 * (g1 + g2))
-    return cm, cp
+    c = np.clip(np.arange(x.size), 1, x.size - 2)
+    a = x[c] - x[c - 1]
+    b = x[c + 1] - x[c]
+    if order == 1:
+        d = x - x[c]
+        return (2.0 * d - b) / (a * (a + b)), (a + 2.0 * d) / (b * (a + b))
+    return 2.0 / (a * (a + b)), 2.0 / (b * (a + b))
 
 
-def _second_derivative_coeffs(x: np.ndarray):
-    """Three-point second-derivative weights on arbitrary nodes.
-
-    End rows carry the curvature of the quadratic through the first (last)
-    three nodes.  Same difference-form contract as the first derivative.
-    """
-    n = x.size
-    cm = np.zeros(n)
-    cp = np.zeros(n)
-    a = x[1:-1] - x[:-2]
-    b = x[2:] - x[1:-1]
-    cm[1:-1] = 2.0 / (a * (a + b))
-    cp[1:-1] = 2.0 / (b * (a + b))
-    h1, h2 = x[1] - x[0], x[2] - x[1]
-    cm[0] = 2.0 / (h1 * (h1 + h2))
-    cp[0] = 2.0 / (h2 * (h1 + h2))
-    g1, g2 = x[-1] - x[-2], x[-2] - x[-3]
-    cm[-1] = 2.0 / (g2 * (g1 + g2))
-    cp[-1] = 2.0 / (g1 * (g1 + g2))
-    return cm, cp
-
-
-def _apply_row_stencil(values: np.ndarray, coeffs) -> np.ndarray:
-    # difference form c_minus (f_- - f_0) + c_plus (f_+ - f_0): the center
+def _apply_row_stencil(values: np.ndarray, weights) -> np.ndarray:
+    # c_- (f_- - f_0) + c_+ (f_+ - f_0) about each row's center: the center
     # weight is implied, and constant fields map to exact zero
-    cm, cp = (c[:, None] for c in coeffs)
+    cm, cp = (w[:, None] for w in weights)
     out = np.empty_like(values)
-    out[1:-1] = cm[1:-1] * (values[:-2] - values[1:-1]) + cp[1:-1] * (
-        values[2:] - values[1:-1]
-    )
-    out[0] = cm[0, 0] * (values[0] - values[1]) + cp[0, 0] * (values[2] - values[1])
-    out[-1] = cm[-1, 0] * (values[-3] - values[-2]) + cp[-1, 0] * (
-        values[-1] - values[-2]
-    )
+    # an end row is centered on its neighbour, so it takes that row's nodes
+    for i, c in ((0, 1), (-1, -2)):
+        out[i] = cm[i] * (values[c - 1] - values[c]) + cp[i] * (values[c + 1] - values[c])
+    # in place, with one temporary: each large temporary can cost fresh pages
+    inner = np.subtract(values[:-2], values[1:-1], out=out[1:-1])
+    inner *= cm[1:-1]
+    upper = values[2:] - values[1:-1]
+    upper *= cp[1:-1]
+    inner += upper
     return out
-
-
-def _dtheta_values(values: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    return _apply_row_stencil(values, _first_derivative_coeffs(thetas))
 
 
 def longitude_derivative(f: ScalarField) -> ScalarField:
@@ -165,7 +132,7 @@ def velocity_from_streamfunction(psi: ScalarField) -> VelocityField:
     """
     g = psi.grid
     dpsi_dphi = _dphi_values(psi.values, g.dphi)
-    dpsi_dtheta = _dtheta_values(psi.values, g.thetas)
+    dpsi_dtheta = _apply_row_stencil(psi.values, _three_point_weights(g.thetas, 1))
     s = g.sin_thetas[:, None]
     return VelocityField(grid=g, u_theta=dpsi_dphi / s, u_phi=-dpsi_dtheta)
 
@@ -174,8 +141,8 @@ def vorticity_from_velocity(u: VelocityField) -> ScalarField:
     """Radial curl (1/sin)[d(sin u_phi)/dtheta - du_theta/dphi]."""
     g = u.grid
     s = g.sin_thetas[:, None]
-    curl = _dtheta_values(s * u.u_phi, g.thetas) - _dphi_values(u.u_theta, g.dphi)
-    return ScalarField(g, curl / s)
+    curl = _apply_row_stencil(s * u.u_phi, _three_point_weights(g.thetas, 1))
+    return ScalarField(g, (curl - _dphi_values(u.u_theta, g.dphi)) / s)
 
 
 def laplace_beltrami_fd(f: ScalarField) -> ScalarField:
@@ -186,7 +153,7 @@ def laplace_beltrami_fd(f: ScalarField) -> ScalarField:
     divergence form (1/sin) d/dtheta (sin d/dtheta) + (1/sin^2) d^2/dphi^2.
     """
     g = f.grid
-    d2chi = _apply_row_stencil(f.values, _second_derivative_coeffs(g.chis))
+    d2chi = _apply_row_stencil(f.values, _three_point_weights(g.chis, 2))
     d2phi = _d2phi_values(f.values, g.dphi)
     return ScalarField(g, (d2chi + d2phi) / g.sin_thetas[:, None] ** 2)
 
@@ -199,7 +166,7 @@ def jacobian(psi: ScalarField, omega: ScalarField) -> ScalarField:
     because the longitude differences vanish exactly.
     """
     g = _require_same_grid(psi, omega)
-    dtheta = _first_derivative_coeffs(g.thetas)
+    dtheta = _three_point_weights(g.thetas, 1)
     bracket = _dphi_values(psi.values, g.dphi) * _apply_row_stencil(
         omega.values, dtheta
     ) - _apply_row_stencil(psi.values, dtheta) * _dphi_values(omega.values, g.dphi)
@@ -232,8 +199,7 @@ def mercator_laplacian(values: np.ndarray, chi_step: float, phi_step: float) -> 
         raise ValueError("need a 2-D sample array with at least 3 chi rows")
     out = np.empty_like(v)
     out[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
-    out[0] = v[0] - 2.0 * v[1] + v[2]
-    out[-1] = v[-3] - 2.0 * v[-2] + v[-1]
+    out[0], out[-1] = out[1], out[-2]  # the end rows equal their neighbours'
     out /= chi_step**2
     out += _d2phi_values(v, phi_step)
     return out

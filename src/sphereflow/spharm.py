@@ -465,8 +465,17 @@ def invert_poisson(omega: SpectralField) -> SpectralField:
 def write_spectral_field(c: SpectralField, path) -> None:
     """CSV serialization with header l,m,re,im, one row per (l, m) with |m| <= l.
 
-    The unstored orders m < 0 are written as (-1)^m conj(a_{l,m}).
+    The unstored orders m < 0 are written as (-1)^m conj(a_{l,m}).  A NaN or
+    infinite coefficient raises ValueError naming its (l, m) before the file
+    is opened, since :func:`read_spectral_field` refuses one.
     """
+    bad = np.argwhere(~np.isfinite(c.coeffs))
+    if bad.size:
+        l, m = bad[0]
+        raise ValueError(
+            f"coefficient a_(l={l},m={m}) = {c.coeffs[l, m]} is not finite; "
+            f"{path} is not written"
+        )
     neg = (-1.0) ** np.arange(c.lmax + 1) * np.conj(c.coeffs)
     lines = ["l,m,re,im"]
     for l in range(c.lmax + 1):

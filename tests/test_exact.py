@@ -129,6 +129,32 @@ def test_velocity_matches_high_precision_closed_form(nodes):
     assert np.max(np.abs(got - oracle) / np.abs(oracle)) <= 1e-15
 
 
+def _mp_velocity_near_pole(theta):
+    """u_phi for k1 = 1 as (s^2 log s^2 + (1 - s^2) log1p(-s^2)) / sin, s = sin(theta/2).
+
+    Both terms are <= 0, so 50 digits hold at any theta; the c^2 log c^2
+    form needs about 2 |log10 theta| digits.
+    """
+    with mpmath.workdps(50):
+        th = mpmath.mpf(float(theta))
+        s2 = mpmath.sin(th / 2) ** 2
+        return float((s2 * mpmath.log(s2) + (1 - s2) * mpmath.log1p(-s2)) / mpmath.sin(th))
+
+
+def test_velocity_holds_its_digits_or_refuses_near_the_north_pole():
+    bound = exact._VELOCITY_THETA_MIN
+    for theta in (bound, np.nextafter(bound, 1.0), 1e-153, 1e-150, 1e-100, 1e-20):
+        oracle = _mp_velocity_near_pole(theta)
+        assert azimuthal_velocity(theta, P1) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+    # sin^2(theta/2) is subnormal below the bound: 4.6e-14 relative off at
+    # 1e-155, -0.0 at 1e-200 and NaN at the least double without it
+    for theta in (np.nextafter(bound, 0.0), 1e-155, 1e-160, 1e-200, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="u_phi needs theta >= 2.98"):
+            azimuthal_velocity(theta, P1)
+    with pytest.raises(ValueError, match="u_phi needs theta"):
+        azimuthal_velocity(np.array([1.0, 1e-200]), P1)
+
+
 def _mp_neg_dilog(q):
     with mpmath.workdps(40):
         return float(mpmath.polylog(2, -mpmath.mpf(float(q))))

@@ -285,10 +285,10 @@ def test_longitude_stencils_match_roll_bit_for_bit(kind, nlon):
     psi, omega = (ScalarField(g, rng.standard_normal((g.nlat, nlon))) for _ in range(2))
     p, w = psi.values, omega.values
     assert np.array_equal(operators._dphi_values(p, g.dphi), _roll_dphi(p, g.dphi))
-    d2chi = operators._apply_row_stencil(p, operators._second_derivative_coeffs(g.chis))
+    d2chi = operators._apply_row_stencil(p, operators._three_point_weights(g.chis, 2))
     lap = (d2chi + _roll_d2phi(p, g.dphi)) / g.sin_thetas[:, None] ** 2
     assert np.array_equal(laplace_beltrami_fd(psi).values, lap)
-    dtheta = operators._dtheta_values
+    dtheta = lambda v, x: operators._apply_row_stencil(v, operators._three_point_weights(x, 1))
     bracket = _roll_dphi(p, g.dphi) * dtheta(w, g.thetas) - dtheta(p, g.thetas) * _roll_dphi(
         w, g.dphi
     )
@@ -301,3 +301,98 @@ def test_longitude_stencils_match_roll_bit_for_bit(kind, nlon):
     merc /= h**2
     merc += _roll_d2phi(p, g.dphi)
     assert np.array_equal(mercator_laplacian(p, h, g.dphi), merc)
+
+
+# Oracle: the colatitude weights as separate interior and end-row formulas,
+# one function per derivative order, as the operators used to spell them out.
+
+
+def _old_first_derivative_coeffs(x):
+    n = x.size
+    cm = np.zeros(n)
+    cp = np.zeros(n)
+    a = x[1:-1] - x[:-2]
+    b = x[2:] - x[1:-1]
+    cm[1:-1] = -b / (a * (a + b))
+    cp[1:-1] = a / (b * (a + b))
+    h1, h2 = x[1] - x[0], x[2] - x[1]
+    cm[0] = -(2.0 * h1 + h2) / (h1 * (h1 + h2))
+    cp[0] = -h1 / (h2 * (h1 + h2))
+    g1, g2 = x[-1] - x[-2], x[-2] - x[-3]
+    cm[-1] = g1 / (g2 * (g1 + g2))
+    cp[-1] = (2.0 * g1 + g2) / (g1 * (g1 + g2))
+    return cm, cp
+
+
+def _old_second_derivative_coeffs(x):
+    n = x.size
+    cm = np.zeros(n)
+    cp = np.zeros(n)
+    a = x[1:-1] - x[:-2]
+    b = x[2:] - x[1:-1]
+    cm[1:-1] = 2.0 / (a * (a + b))
+    cp[1:-1] = 2.0 / (b * (a + b))
+    h1, h2 = x[1] - x[0], x[2] - x[1]
+    cm[0] = 2.0 / (h1 * (h1 + h2))
+    cp[0] = 2.0 / (h2 * (h1 + h2))
+    g1, g2 = x[-1] - x[-2], x[-2] - x[-3]
+    cm[-1] = 2.0 / (g2 * (g1 + g2))
+    cp[-1] = 2.0 / (g1 * (g1 + g2))
+    return cm, cp
+
+
+def _old_rows(v, coeffs):
+    cm, cp = (c[:, None] for c in coeffs)
+    out = np.empty_like(v)
+    out[1:-1] = cm[1:-1] * (v[:-2] - v[1:-1]) + cp[1:-1] * (v[2:] - v[1:-1])
+    out[0] = cm[0, 0] * (v[0] - v[1]) + cp[0, 0] * (v[2] - v[1])
+    out[-1] = cm[-1, 0] * (v[-3] - v[-2]) + cp[-1, 0] * (v[-1] - v[-2])
+    return out
+
+
+_ORACLE_NLAT = [4, 5, 6, 17, 64, 255, 1001]
+
+
+@pytest.mark.parametrize("n", _ORACLE_NLAT)
+def test_three_point_weights_equal_the_end_row_formulas_bit_for_bit(n):
+    nodes = [np.sort(np.random.default_rng(n).uniform(-3.0, 5.0, n))]
+    for kind in ("gauss-legendre", "uniform-interior"):
+        g = build_grid(GridSpec(nlat=n, nlon=4, kind=kind))
+        nodes += [g.thetas, g.chis]
+    oracles = {1: _old_first_derivative_coeffs, 2: _old_second_derivative_coeffs}
+    for x in nodes:
+        for order, oracle in oracles.items():
+            for got, want in zip(operators._three_point_weights(x, order), oracle(x)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", _ORACLE_NLAT)
+@pytest.mark.parametrize("kind", ["gauss-legendre", "uniform-interior"])
+def test_colatitude_operators_equal_the_end_row_formulas_bit_for_bit(kind, n):
+    # random non-zonal fields: on zonal ones the theta terms of the bracket
+    # vanish exactly, so a wrong first-derivative weight would go unseen
+    g = build_grid(GridSpec(nlat=n, nlon=8, kind=kind))
+    rng = np.random.default_rng(n)
+    p, w, ut, up = (rng.standard_normal((n, 8)) for _ in range(4))
+    psi, omega = ScalarField(g, p), ScalarField(g, w)
+    s = g.sin_thetas[:, None]
+    d1 = _old_first_derivative_coeffs(g.thetas)
+    bracket = _roll_dphi(p, g.dphi) * _old_rows(w, d1) - _old_rows(p, d1) * _roll_dphi(w, g.dphi)
+    lap = (_old_rows(w, _old_second_derivative_coeffs(g.chis)) + _roll_d2phi(w, g.dphi)) / s**2
+    assert np.array_equal(jacobian(psi, omega).values, bracket)
+    assert np.array_equal(laplace_beltrami_fd(omega).values, lap)
+    assert np.array_equal(ns_residual(psi, omega, 0.3).values, bracket / s - 0.3 * lap)
+    u = velocity_from_streamfunction(psi)
+    assert np.array_equal(u.u_theta, _roll_dphi(p, g.dphi) / s)
+    assert np.array_equal(u.u_phi, -_old_rows(p, d1))
+    curl = vorticity_from_velocity(VelocityField(g, ut, up)).values
+    assert np.array_equal(curl, (_old_rows(s * up, d1) - _roll_dphi(ut, g.dphi)) / s)
+
+
+@pytest.mark.parametrize("kind", ["gauss-legendre", "uniform-interior"])
+def test_second_derivative_end_rows_equal_their_neighbours(kind):
+    g = build_grid(GridSpec(nlat=17, nlon=4, kind=kind))
+    v = np.random.default_rng(2).standard_normal((17, 4))
+    d2 = operators._apply_row_stencil(v, operators._three_point_weights(g.chis, 2))
+    assert np.array_equal(d2[0], d2[1]) and np.array_equal(d2[-1], d2[-2])

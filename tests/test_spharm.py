@@ -441,6 +441,19 @@ def test_conjugate_symmetry_checker(tmp_path):
         spharm.read_spectral_field(path, 6)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+def test_spectral_writer_refuses_a_non_finite_coefficient(tmp_path, value):
+    # the reader refuses such a row, so the writer refuses it before opening the file
+    arr = np.zeros((4, 4), dtype=np.complex128)
+    arr[1, 0] = 0.5
+    arr[2, 1] = value
+    arr[3, 2] = math.inf
+    path = tmp_path / "coeffs.csv"
+    with pytest.raises(ValueError, match=r"a_\(l=2,m=1\) = .* is not finite"):
+        spharm.write_spectral_field(spharm.SpectralField(3, arr), path)
+    assert not path.exists()
+
+
 def test_symmetry_checks_hold_past_the_square_range(tmp_path):
     # an imaginary a_{l,0} or a broken (l, -m) pair of 1e-5 of the norm is
     # refused even when the squared coefficients overflow

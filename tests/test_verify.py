@@ -111,6 +111,13 @@ def test_mercator_obstruction_report():
     assert report.max_abs_residual < 1e-6
 
 
+def test_mercator_obstruction_fails_where_the_obstruction_stays_small():
+    # the identity holds on chi in [3, 4], but sech^2 stays below 0.5 there
+    report = verify.check_mercator_obstruction(np.linspace(3, 4, 11))
+    assert report.max_abs_residual <= report.tolerance
+    assert not report.passed
+
+
 def test_mercator_obstruction_pointwise_values():
     h = 1e-3
     chi = np.arange(-6.0, 6.0 + h / 2, h)
@@ -181,6 +188,23 @@ def test_zonal_consistency_at_every_scale_of_k1(k1):
     assert report.max_abs_residual == 0.0
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [lambda t: np.cos(2.0 * t) + t, lambda t: 1e-12 * t],
+    ids=["not-monotone", "not-separated"],
+)
+def test_zonal_consistency_fails_on_a_zonal_psi_without_its_hemisphere_maps(
+    profile, monkeypatch
+):
+    # a zonal psi leaves the residual at 0, so only the extra condition can fail it
+    monkeypatch.setattr(
+        exact, "streamfunction_field", lambda p, g: zonal_field(g, profile(g.thetas))
+    )
+    report = verify.check_zonal_consistency(P1)
+    assert report.max_abs_residual == 0.0
+    assert not report.passed
+
+
 def test_zonal_consistency_hemisphere_maps():
     # psi is strictly monotone, so sin^2 is single-valued per hemisphere and
     # mirrored rows carry distinct psi values
@@ -204,6 +228,14 @@ def test_run_all_checks_exponential_model_fails():
     by_name = {r.name: r for r in reports}
     assert not by_name["gradient-modulus-ode"].passed
     assert by_name["harmonic-vorticity"].passed
+
+
+def test_run_all_checks_fails_a_nullspace_other_than_the_constants(monkeypatch):
+    monkeypatch.setattr(verify, "global_harmonic_nullspace", lambda lmax: 2)
+    reports = verify.run_all_checks(nlat=128, nlon=32, ntheta=1024)
+    assert reports[-1].name == "harmonic-nullspace"
+    assert not reports[-1].passed
+    assert all(r.passed for r in reports[:-1])
 
 
 @pytest.mark.parametrize("k1", K1_SWEEP)
