@@ -243,41 +243,61 @@ def require_finite(f: ScalarField, name) -> None:
         )
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and ``rows`` as ASCII CSV, each float (float64 too) as .17g, else str."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join([format(x, ".17g") if isinstance(x, float) else str(x) for x in row]))
+    text = "\n".join(lines) + "\n"
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
+
+
+def _read_csv(path, header: str) -> list:
+    """The lines after ``header``, blank ones too: item i is line i + 2 of the file."""
+    with open(path, "r", encoding="ascii") as fh:
+        first = fh.readline().strip()
+        if first != header:
+            raise ValueError(f"unexpected header {first!r} in {path}")
+        return fh.read().split("\n")
+
+
 def write_scalar_field(f: ScalarField, path) -> None:
     """Write a field as CSV with header theta,phi,value in theta-major order.
 
-    A NaN or infinite value raises ValueError before the file is opened,
-    since :func:`read_scalar_field` refuses one.
+    Each theta and phi is formatted once.  A NaN or infinite value raises
+    ValueError before the file is opened, since :func:`read_scalar_field` refuses one.
     """
     require_finite(f, path)
-    lines = ["theta,phi,value"]
-    for i, theta in enumerate(f.grid.thetas):
-        for j, phi in enumerate(f.grid.phis):
-            lines.append(f"{theta:.17g},{phi:.17g},{f.values[i, j]:.17g}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    thetas, phis = ([format(x, ".17g") for x in a.tolist()] for a in (f.grid.thetas, f.grid.phis))
+    rows = ((t, p, v) for t, vs in zip(thetas, f.values) for p, v in zip(phis, vs.tolist()))
+    _write_csv(path, "theta,phi,value", rows)
 
 
 def read_scalar_field(path):
     """Read a theta,phi,value CSV back into (thetas, phis, values) arrays.
 
-    The rows must be finite and cover the full grid of the distinct thetas
-    and phis once each, theta-major with both increasing, as
-    :func:`write_scalar_field` writes them; otherwise ValueError.
+    Each line that is not blank is a data row of three finite numbers split on
+    commas.  The rows must cover the full grid of the distinct thetas and phis
+    once each, theta-major with both increasing, as :func:`write_scalar_field`
+    writes them; otherwise ValueError, naming the data row where it can.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "theta,phi,value":
-            raise ValueError(f"unexpected header {header!r} in {path}")
-        rows = [line.split(",") for line in fh.read().split()]
+    rows = [line.split(",") for line in _read_csv(path, "theta,phi,value") if line.strip()]
     if not rows:
         raise ValueError(f"no samples in {path}")
-    for k, row in enumerate(rows):
-        if len(row) != 3:
-            raise ValueError(
-                f"{path} data row {k + 1}: expected 3 columns theta,phi,value, got {len(row)}"
-            )
-    data = np.array(rows, dtype=np.float64)
+    try:
+        data = np.array(rows, dtype=np.float64)
+    except ValueError:  # ragged or unparsable: the loop below names the first bad row
+        data = None
+    if data is None or data.shape[1] != 3:
+        for k, row in enumerate(rows):
+            where = f"{path} data row {k + 1}"
+            if len(row) != 3:
+                raise ValueError(f"{where}: expected 3 columns theta,phi,value, got {len(row)}")
+            try:
+                [float(x) for x in row]
+            except ValueError:
+                raise ValueError(f"{where}: cannot parse {','.join(row)!r}") from None
     nonfinite = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if nonfinite.size:
         raise ValueError(f"{path} data row {nonfinite[0] + 1}: non-finite entry")

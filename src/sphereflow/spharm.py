@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .grid import Grid, ScalarField, _same_nodes
+from .grid import Grid, ScalarField, _read_csv, _same_nodes, _write_csv
 
 #: Relative bound on the mean vorticity accepted by :func:`check_gauss_constraint`.
 GAUSS_CONSTRAINT_RTOL = 1e-10
@@ -96,9 +96,9 @@ class SpectralField:
                 )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def _above_diagonal(lmax: int) -> np.ndarray:
-    """Read-only (lmax+1, lmax+1) mask of the entries m > l, built once per truncation."""
+    """Read-only (lmax+1, lmax+1) mask of the entries m > l, kept for four truncations."""
     mask = np.triu(np.ones((lmax + 1, lmax + 1), dtype=bool), 1)
     mask.setflags(write=False)
     return mask
@@ -290,15 +290,6 @@ def _require_plan_grid(f: ScalarField, plan: TransformPlan) -> None:
         raise ValueError("field grid does not match the transform plan")
 
 
-@functools.lru_cache(maxsize=None)
-def _odd_offset(lmax: int) -> np.ndarray:
-    """Read-only (lmax+1, lmax+1) mask, indexed [m, l], of the pairs with l - m odd."""
-    ls = np.arange(lmax + 1)
-    mask = np.add.outer(ls, ls) % 2 == 1
-    mask.setflags(write=False)
-    return mask
-
-
 def analyze(f: ScalarField, plan: TransformPlan) -> SpectralField:
     """Project a real field onto the orthonormal basis by quadrature.
 
@@ -326,7 +317,8 @@ def analyze(f: ScalarField, plan: TransformPlan) -> SpectralField:
     for m, block in enumerate(plan.plm_blocks):
         np.matmul(block, rows[m], out=out[m, m:])
     by_parity = out.view(np.complex128)  # [m, l, parity]
-    return SpectralField(L, np.where(_odd_offset(L), by_parity[..., 1], by_parity[..., 0]).T)
+    odd = np.arange(L + 1) % 2 != np.arange(L + 1)[:, None] % 2  # [m, l]: l - m odd
+    return SpectralField(L, np.where(odd, by_parity[..., 1], by_parity[..., 0]).T)
 
 
 def _order_profiles(fields, plan: TransformPlan, blocks) -> np.ndarray:
@@ -454,6 +446,11 @@ def check_gauss_constraint(omega: SpectralField) -> None:
 def invert_poisson(omega: SpectralField) -> SpectralField:
     """Solve -lap(psi) = omega in coefficients, zero-mean gauge, once the Gauss check passes."""
     check_gauss_constraint(omega)
+    return _solve_poisson(omega)
+
+
+def _solve_poisson(omega: SpectralField) -> SpectralField:
+    """-lap(psi) = omega in coefficients, zero-mean gauge, with no Gauss check."""
     L = omega.lmax
     eig = laplacian_eigenvalues(L)
     eig[0, 0] = -1.0  # placeholder, the l = 0 row is zeroed below
@@ -477,13 +474,12 @@ def write_spectral_field(c: SpectralField, path) -> None:
             f"{path} is not written"
         )
     neg = (-1.0) ** np.arange(c.lmax + 1) * np.conj(c.coeffs)
-    lines = ["l,m,re,im"]
+    rows = []
     for l in range(c.lmax + 1):
         for m in range(-l, l + 1):
             z = c.coeffs[l, m] if m >= 0 else neg[l, -m]
-            lines.append(f"{l},{m},{z.real:.17g},{z.imag:.17g}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            rows.append((l, m, z.real, z.imag))
+    _write_csv(path, "l,m,re,im", rows)
 
 
 def read_spectral_field(path, lmax: int) -> SpectralField:
@@ -504,34 +500,30 @@ def read_spectral_field(path, lmax: int) -> SpectralField:
     # a_{l,m} at [0, l, m] and a_{l,-m} at [1, l, m]
     arr = np.zeros((2, lmax + 1, lmax + 1), dtype=np.complex128)
     first_line = {}
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "l,m,re,im":
-            raise ValueError(f"unexpected header {header!r} in {path}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            where = f"{path} line {lineno}"
-            cols = line.strip().split(",")
-            if len(cols) != 4:
-                raise ValueError(f"{where}: expected 4 columns l,m,re,im, got {len(cols)}")
-            try:
-                l, m = int(cols[0]), int(cols[1])
-                z = complex(float(cols[2]), float(cols[3]))
-            except ValueError as exc:
-                raise ValueError(f"{where}: cannot parse {line.strip()!r}") from exc
-            if abs(m) > l:
-                raise ValueError(f"{where}: (l={l}, m={m}) needs 0 <= |m| <= l")
-            if l > lmax:
-                raise ValueError(f"{where}: degree l={l} exceeds the truncation lmax={lmax}")
-            if not cmath.isfinite(z):
-                raise ValueError(f"{where}: non-finite coefficient for (l={l}, m={m})")
-            if (l, m) in first_line:
-                raise ValueError(
-                    f"{where}: duplicate (l={l}, m={m}), first given on line {first_line[l, m]}"
-                )
-            first_line[l, m] = lineno
-            arr[int(m < 0), l, abs(m)] = z
+    for lineno, line in enumerate(_read_csv(path, "l,m,re,im"), start=2):
+        if not line.strip():
+            continue
+        where = f"{path} line {lineno}"
+        cols = line.strip().split(",")
+        if len(cols) != 4:
+            raise ValueError(f"{where}: expected 4 columns l,m,re,im, got {len(cols)}")
+        try:
+            l, m = int(cols[0]), int(cols[1])
+            z = complex(float(cols[2]), float(cols[3]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: cannot parse {line.strip()!r}") from exc
+        if abs(m) > l:
+            raise ValueError(f"{where}: (l={l}, m={m}) needs 0 <= |m| <= l")
+        if l > lmax:
+            raise ValueError(f"{where}: degree l={l} exceeds the truncation lmax={lmax}")
+        if not cmath.isfinite(z):
+            raise ValueError(f"{where}: non-finite coefficient for (l={l}, m={m})")
+        if (l, m) in first_line:
+            raise ValueError(
+                f"{where}: duplicate (l={l}, m={m}), first given on line {first_line[l, m]}"
+            )
+        first_line[l, m] = lineno
+        arr[int(m < 0), l, abs(m)] = z
     if not first_line:
         raise ValueError(f"no coefficients in {path}")
     tol = SYMMETRY_RTOL * max(1.0, _scaled_norm(arr))

@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from . import exact, spharm
-from .grid import DEFAULT_BAND, GridSpec, ScalarField, build_grid
+from .grid import DEFAULT_BAND, GridSpec, ScalarField, _write_csv, build_grid
 
 class InstabilityError(RuntimeError):
     """Raised when |omega| turns non-finite or blows past ten times its initial amplitude."""
@@ -141,12 +141,11 @@ def transform_plan_for(lmax: int, dealias: bool) -> spharm.TransformPlan:
 def _advection_coeffs(omega: spharm.SpectralField, plan: spharm.TransformPlan) -> np.ndarray:
     """Spectral image of (1/sin) J(psi, omega).
 
-    Raises :class:`~sphereflow.spharm.GaussConstraintError` through
-    :func:`~sphereflow.spharm.invert_poisson` when the mean vorticity is
-    nonzero.  A zonal omega gives exact zeros: both phi-derivatives vanish on
-    every node.
+    No Gauss check: :func:`rhs` and :func:`evolve` check the field that enters,
+    not each stage, whose norm decays under viscosity while a_{0,0} does not.
+    A zonal omega gives exact zeros: both phi-derivatives vanish on every node.
     """
-    psi = spharm.invert_poisson(omega)
+    psi = spharm._solve_poisson(omega)
     (om_t, ps_t), (om_p, ps_p) = spharm._synthesize_gradients([omega, psi], plan)
     s = plan.grid.sin_thetas[:, None]
     bracket = (ps_p / s) * om_t - ps_t * (om_p / s)
@@ -171,6 +170,7 @@ def rhs(
         plan = transform_plan_for(cfg.lmax, cfg.dealias)
     if omega.lmax != plan.lmax:
         raise ValueError("vorticity truncation does not match the plan")
+    spharm.check_gauss_constraint(omega)
     tend = -_advection_coeffs(omega, plan)
     if cfg.nu != 0.0:
         tend = tend + cfg.nu * spharm.laplacian_eigenvalues(plan.lmax) * omega.coeffs
@@ -191,7 +191,7 @@ def _energy_enstrophy(level: np.ndarray):
 
     Degrees run along the last axis, so a stack of states gives one value per state.
     """
-    energy = 0.5 * np.vecdot(level, _inverse_eigenvalues(level.shape[-1] - 1))
+    energy = 0.5 * (level * _inverse_eigenvalues(level.shape[-1] - 1)).sum(axis=-1)
     enstrophy = 0.5 * level.sum(axis=-1)
     return energy, enstrophy
 
@@ -358,11 +358,5 @@ def steadiness_drift(
 
 def write_time_series(series: TimeSeries, path) -> None:
     """CSV serialization with header t,energy,enstrophy,max_omega,drift."""
-    lines = ["t,energy,enstrophy,max_omega,drift"]
-    for k in range(series.times.size):
-        lines.append(
-            f"{series.times[k]:.17g},{series.energy[k]:.17g},{series.enstrophy[k]:.17g},"
-            f"{series.max_omega[k]:.17g},{series.drift[k]:.17g}"
-        )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = (series.times, series.energy, series.enstrophy, series.max_omega, series.drift)
+    _write_csv(path, "t,energy,enstrophy,max_omega,drift", zip(*columns))

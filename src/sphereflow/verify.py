@@ -25,6 +25,7 @@ from .grid import (
     Grid,
     GridSpec,
     ScalarField,
+    _write_csv,
     band_max,
     build_grid,
     mercator_of_colatitude,
@@ -352,11 +353,8 @@ def run_all_checks(
 
 def write_reports(reports, path) -> None:
     """CSV rows name,nlat,nlon,band_lo,band_hi,max_abs_residual,tolerance,pass."""
-    lines = ["name,nlat,nlon,band_lo,band_hi,max_abs_residual,tolerance,pass"]
-    for r in reports:
-        lines.append(
-            f"{r.name},{r.nlat},{r.nlon},{r.band[0]:.17g},{r.band[1]:.17g},"
-            f"{r.max_abs_residual:.17g},{r.tolerance:.17g},{str(r.passed).lower()}"
-        )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [
+        (r.name, r.nlat, r.nlon, *r.band, r.max_abs_residual, r.tolerance, str(r.passed).lower())
+        for r in reports
+    ]
+    _write_csv(path, "name,nlat,nlon,band_lo,band_hi,max_abs_residual,tolerance,pass", rows)

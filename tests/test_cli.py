@@ -25,6 +25,13 @@ CHECKS_PINS = {
     "checks_phi_exp": ["--phi-model", "exp"],
 }
 
+# omega, psi and uphi written by ``fields --nlat 16 --nlon 8`` with these arguments;
+# each file keeps its bytes
+FIELDS_PINS = {
+    "fields_gauss_16x8": [],
+    "fields_uniform_16x8": ["--grid", "uniform"],
+}
+
 
 def test_fields_outputs(tmp_path):
     out = tmp_path / "fields"
@@ -74,6 +81,14 @@ def test_checks_csv_is_pinned(tmp_path, name):
     code = main(["checks", *CHECKS_PINS[name], "--out", str(tmp_path)])
     assert code == (1 if name == "checks_phi_exp" else 0)
     assert (tmp_path / "checks.csv").read_bytes() == (DATA / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS_PINS))
+def test_fields_csv_is_pinned(tmp_path, name):
+    args = ["fields", "--nlat", "16", "--nlon", "8", *FIELDS_PINS[name], "--out", str(tmp_path)]
+    assert main(args) == 0
+    for field in ("omega", "psi", "uphi"):
+        assert (tmp_path / f"{field}.csv").read_bytes() == (DATA / f"{name}_{field}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("k1", K1_SWEEP + [s * k for k in verify.K1_RANGE for s in (1.0, -1.0)])

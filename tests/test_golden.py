@@ -37,6 +37,14 @@ one function for the stepped and the zonal path, instead of a sum of the
 flattened power: by at most 3.4e-16 of the column's maximum.  Against a
 ``math.fsum`` of each state's power, the worst error over these series went
 from 3.5e-16 to 2.4e-16.  Every other column kept its bytes.
+
+The energy columns of the same five series were re-pinned when the energy
+became a plain sum, ``(level * inv).sum(axis=-1)``, instead of ``np.vecdot``,
+whose BLAS ``ddot`` rounds differently under each OpenBLAS kernel: by at most
+5.2e-16 of the column's maximum.  Against a ``math.fsum`` of each state's
+weighted power, the worst error over these series went from 5.2e-16 to
+3.7e-16, and ``golden_basic_l31`` became the same bytes under the SkylakeX
+and Haswell kernels.  Every other column kept its bytes.
 """
 
 from pathlib import Path

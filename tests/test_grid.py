@@ -245,6 +245,33 @@ def test_scalar_field_csv_rejects_malformed_files(tmp_path, corrupt, match):
         read_scalar_field(path)
 
 
+def test_scalar_field_csv_reader_splits_rows_on_commas_only(tmp_path):
+    # a space after a comma belongs to its number, as in the spectral reader
+    g = build_grid(GridSpec(nlat=4, nlon=4))
+    f = ScalarField(g, np.arange(16.0).reshape(4, 4))
+    path = tmp_path / "field.csv"
+    write_scalar_field(f, path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace(",", ", ", 1)
+    path.write_text("\n".join(lines) + "\n")
+    thetas, phis, values = read_scalar_field(path)
+    assert np.array_equal(thetas, g.thetas)
+    assert np.array_equal(phis, g.phis)
+    assert np.array_equal(values, f.values)
+
+
+def test_scalar_field_csv_reader_names_the_row_that_does_not_parse(tmp_path):
+    # the file and its data row, not numpy's bare message; blank lines are not rows
+    g = build_grid(GridSpec(nlat=4, nlon=4))
+    path = tmp_path / "field.csv"
+    write_scalar_field(ScalarField(g, np.arange(16.0).reshape(4, 4)), path)
+    lines = path.read_text().splitlines()
+    lines[3] = "0.5,0.5,abc"
+    path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match=r"field\.csv data row 3: cannot parse '0\.5,0\.5,abc'$"):
+        read_scalar_field(path)
+
+
 def test_weights_must_sum_to_two():
     thetas = np.linspace(0.3, np.pi - 0.3, 8)
     with pytest.raises(ValueError):

@@ -512,6 +512,13 @@ def test_coefficient_mask_enforced(lmax):
         mask[0, 1] = False
 
 
+def test_mask_caches_stay_bounded_over_a_sweep_of_truncations():
+    # the m > l mask is kept for four truncations, not one per truncation ever built
+    for lmax in range(2, 64):
+        spharm.SpectralField(lmax, np.zeros((lmax + 1, lmax + 1)))
+    assert spharm._above_diagonal.cache_info().currsize <= 4
+
+
 def test_spectral_field_copies_its_input():
     # the field freezes its own copy: the caller's array stays writeable,
     # and writing to it leaves the field unchanged

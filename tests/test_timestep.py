@@ -88,6 +88,19 @@ def test_rhs_rejects_mean_vorticity(entry):
         entry(omega, cfg)
 
 
+@pytest.mark.parametrize("m15,m2", [(3, 1), (0, 0)], ids=["stepped", "zonal"])
+def test_evolve_checks_gauss_where_the_field_enters(m15, m2):
+    # a mean just inside the bound on omega0 stays fixed while viscosity shrinks
+    # the norm of every later stage, so a check on each stage would refuse at
+    # step 1 the state the entry check accepts
+    L = 15
+    omega = with_coeff(with_coeff(zeros(L), 15, m15, 1.0), 2, m2, 1e-6)
+    omega = with_coeff(omega, 0, 0, 0.9e-10 * spharm.l2_norm(omega))
+    series = evolve(omega, EvolutionConfig(nu=0.05, dt=0.01, steps=200, lmax=L))
+    assert series.times.size == 201
+    assert 0.0 < series.enstrophy[-1] < series.enstrophy[0]
+
+
 def _mix(lmax, *modes):
     coeffs = sum(a * spharm.real_single_mode(lmax, l, m).coeffs for l, m, a in modes)
     return spharm.SpectralField(lmax, coeffs)
@@ -241,8 +254,8 @@ def test_zonal_evolve_never_transforms_the_bracket(count_transforms, count_order
     # nor solves a Poisson problem, nor evaluates a tendency, nor runs the
     # per-order synthesis loop in its diagnostics
     solves, tendencies = [], []
-    real_solve, real_bracket = spharm.invert_poisson, timestep._advection_coeffs
-    monkeypatch.setattr(spharm, "invert_poisson", lambda omega: solves.append(1) or real_solve(omega))
+    real_solve, real_bracket = spharm._solve_poisson, timestep._advection_coeffs
+    monkeypatch.setattr(spharm, "_solve_poisson", lambda omega: solves.append(1) or real_solve(omega))
     monkeypatch.setattr(
         timestep,
         "_advection_coeffs",
@@ -466,7 +479,7 @@ def test_zonal_drift_run_never_takes_the_l2_norm(monkeypatch):
 
 
 def test_rhs_rejects_mean_vorticity_of_a_non_zonal_field():
-    # the transform path reaches the same check through invert_poisson
+    # rhs checks the field it is given before the bracket, which checks nothing
     omega = with_coeff(spharm.random_real_field(10, np.random.default_rng(2)), 0, 0, 1e-3)
     cfg = EvolutionConfig(nu=0.0, dt=1e-3, steps=1, lmax=10)
     with pytest.raises(spharm.GaussConstraintError, match="zero-total-vorticity"):
