@@ -111,7 +111,8 @@ class Grid:
         return _readonly(mercator_of_colatitude(self.thetas))
 
     def band_mask(self, lo: float, hi: float) -> np.ndarray:
-        """Boolean mask selecting colatitude rows with lo <= theta <= hi."""
+        """Mask of the colatitude rows with lo <= theta <= hi, once :func:`_check_band` passes."""
+        _check_band((lo, hi))
         return (self.thetas >= lo) & (self.thetas <= hi)
 
 
@@ -134,6 +135,12 @@ class ScalarField:
 def _same_nodes(a: Grid, b: Grid) -> bool:
     """True when ``a`` and ``b`` are one grid, or two with equal colatitudes and longitudes."""
     return a is b or (np.array_equal(a.thetas, b.thetas) and np.array_equal(a.phis, b.phis))
+
+
+def _check_band(band) -> None:
+    """Raise ValueError naming ``band`` unless band[0] < band[1], neither of them NaN."""
+    if not band[0] < band[1]:
+        raise ValueError(f"band [{band[0]:g}, {band[1]:g}] needs lo < hi, with neither NaN")
 
 
 def band_max(field: ScalarField, band) -> float:
@@ -254,12 +261,23 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def _read_csv(path, header: str) -> list:
-    """The lines after ``header``, blank ones too: item i is line i + 2 of the file."""
-    with open(path, "r", encoding="ascii") as fh:
-        first = fh.readline().strip()
-        if first != header:
-            raise ValueError(f"unexpected header {first!r} in {path}")
-        return fh.read().split("\n")
+    """The lines after ``header``, blank ones too: item i is line i + 2 of the file.
+
+    Line ends are read as in text mode, and a byte outside ASCII raises
+    ValueError naming its line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        byte = data[exc.start]
+        raise ValueError(f"{path} line {lineno}: byte 0x{byte:02x} is not ASCII") from None
+    lines = text.split("\n")
+    if lines[0].strip() != header:
+        raise ValueError(f"unexpected header {lines[0].strip()!r} in {path}")
+    return lines[1:]
 
 
 def write_scalar_field(f: ScalarField, path) -> None:

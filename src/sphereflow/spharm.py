@@ -321,18 +321,23 @@ def analyze(f: ScalarField, plan: TransformPlan) -> SpectralField:
     return SpectralField(L, np.where(odd, by_parity[..., 1], by_parity[..., 0]).T)
 
 
-def _order_profiles(fields, plan: TransformPlan, blocks) -> np.ndarray:
-    """Even and odd parts in l - m of G_m(theta_i) = sum_l a_{l,m} table[off[m] + l - m, i].
+def _synthesize(fields, plan: TransformPlan, gradients: bool) -> np.ndarray:
+    """Grid values of every field, or of its (d/dtheta, d/dphi) when ``gradients`` is true.
 
-    ``blocks`` is ``plan.table_blocks`` (both tables, d/dtheta first) or
-    ``plan.plm_blocks``.  On the northern rows, one real GEMM per order
-    serves every table, field and parity: the coefficients enter as float64
-    (re, im) pairs split by the parity of l - m.  Returns complex
-    profiles[m, t, i, p, k] for table t, northern row i, parity p (0 for
-    l - m even) and field k.
+    On the northern rows, one real GEMM per order serves every table, field
+    and parity: the coefficients enter as float64 (re, im) pairs split by the
+    parity of l - m, against ``plan.plm_blocks``, or ``plan.table_blocks``
+    (d/dtheta first) for the gradients.  This gives the even and odd parts in
+    l - m of G_m(theta_i) = sum_l a_{l,m} table[off[m] + l - m, i], and the
+    real sum over all orders of G_m exp(i m phi_j), with G_{-m} = conj(G_m),
+    takes one irfft per part and northern row; d/dphi enters the spectrum
+    times i m.  The northern rows are even + odd and their mirrors even - odd,
+    with the parts swapped for d/dtheta, whose parity is the opposite.
+    Returns shape (tables, len(fields), nlat, nlon): one table, the field, or
+    two, d/dtheta then d/dphi.
     """
-    L, nf, north = plan.lmax, len(fields), plan.plm.shape[1]
-    ntab = blocks[0].shape[1] // north
+    g, L, nf, north = plan.grid, plan.lmax, len(fields), plan.plm.shape[1]
+    blocks, ntab = (plan.table_blocks, 2) if gradients else (plan.plm_blocks, 1)
     cols = np.zeros((L + 1, L + 1, 2, nf), dtype=np.complex128)  # [m, l, parity, field]
     for k, c in enumerate(fields):
         if c.lmax > L:
@@ -346,43 +351,24 @@ def _order_profiles(fields, plan: TransformPlan, blocks) -> np.ndarray:
     out = np.empty((L + 1, ntab * north, 4 * nf))  # [m, table and row, parity/field/re-im]
     for m, block in enumerate(blocks):
         np.matmul(block.T, cols[m, m:], out=out[m])
-    return out.view(np.complex128).reshape(L + 1, ntab, north, 2, nf)
-
-
-def _longitude_synthesis(profiles: np.ndarray, grid: Grid, derivatives) -> np.ndarray:
-    """Real sum over all orders of G_m exp(i m phi_j), with G_{-m} = conj(G_m).
-
-    ``profiles`` comes from :func:`_order_profiles`, and ``derivatives[t]``
-    says what table t gives: None for the field (a Pbar_l^m table), "theta"
-    for d/dtheta (a dPbar_l^m/dtheta table) and "phi" for d/dphi (a Pbar_l^m
-    table, times i m on the way into the spectrum).  The even and odd parts
-    each take one irfft per northern row; the northern rows are then
-    even + odd, and their mirrors even - odd, or odd - even for d/dtheta,
-    whose parity is the opposite.  Returns one real field per table and
-    field, shape (tables * fields, nlat, nlon).
-    """
-    M, ntab, north, _, nf = profiles.shape
-    nh = grid.nlat // 2
-    spectrum = np.zeros((ntab, nf, 2, north, grid.nlon // 2 + 1), dtype=np.complex128)
-    for t, d in enumerate(derivatives):
-        by_order = profiles[:, t].transpose(3, 2, 1, 0)  # [field, parity, row, m]
-        if d == "phi":
-            np.multiply(by_order, 1j * np.arange(M), out=spectrum[t, ..., :M])
-        else:
-            spectrum[t, ..., :M] = by_order
-    parts = np.fft.irfft(spectrum, n=grid.nlon, axis=-1, norm="forward")
+    # [table, field, parity, northern row, m], the parities swapped for d/dtheta
+    by_order = out.view(np.complex128).reshape(L + 1, ntab, north, 2, nf).transpose(1, 4, 3, 2, 0)
+    spectrum = np.zeros((ntab, nf, 2, north, g.nlon // 2 + 1), dtype=np.complex128)
+    spectrum[0, ..., : L + 1] = by_order[0, :, ::-1] if gradients else by_order[0]
+    if gradients:
+        np.multiply(by_order[1], 1j * np.arange(L + 1), out=spectrum[1, ..., : L + 1])
+    parts = np.fft.irfft(spectrum, n=g.nlon, axis=-1, norm="forward")
     even, odd = parts[:, :, 0], parts[:, :, 1]  # [table, field, northern row, phi]
-    values = np.empty((ntab, nf, grid.nlat, grid.nlon))
+    nh = g.nlat // 2
+    values = np.empty((ntab, nf, g.nlat, g.nlon))
     np.add(even, odd, out=values[:, :, :north])
-    for t, d in enumerate(derivatives):
-        a, b = (odd[t], even[t]) if d == "theta" else (even[t], odd[t])
-        np.subtract(a[:, :nh], b[:, :nh], out=values[t, :, : -nh - 1 : -1])
-    return values.reshape(-1, grid.nlat, grid.nlon)
+    np.subtract(even[:, :, :nh], odd[:, :, :nh], out=values[:, :, : -nh - 1 : -1])
+    return values
 
 
 def _zonal_rows(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
     """Rows sum_l a[k, l] Pbar_l^0(cos theta_i) of each order-0 column a[k]: the order-0
-    GEMM of ``_order_profiles`` once per column (a batched one gives other bytes under
+    GEMM of :func:`_synthesize` once per column (a batched one gives other bytes under
     some BLAS kernels), folded the same way, so a zonal field's row holds the bytes of
     every longitude of its :func:`synthesize`; it builds no table of an order m >= 1."""
     g, n, nh = plan.grid, a.shape[1], plan.grid.nlat // 2
@@ -398,24 +384,12 @@ def _zonal_rows(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
 
 def synthesize(c: SpectralField, plan: TransformPlan) -> ScalarField:
     """Evaluate sum a_{l,m} Y_l^m over all orders -l..l on the plan's grid."""
-    profiles = _order_profiles([c], plan, plan.plm_blocks)
-    return ScalarField(plan.grid, _longitude_synthesis(profiles, plan.grid, (None,))[0])
-
-
-def _synthesize_gradients(fields, plan: TransformPlan) -> np.ndarray:
-    """(df/dtheta, df/dphi) of every field, with one pass over both tables.
-
-    Returns shape (2, len(fields), nlat, nlon): index 0 holds the theta
-    derivatives, index 1 the phi derivatives.
-    """
-    profiles = _order_profiles(fields, plan, plan.table_blocks)
-    values = _longitude_synthesis(profiles, plan.grid, ("theta", "phi"))
-    return values.reshape(2, len(fields), plan.grid.nlat, plan.grid.nlon)
+    return ScalarField(plan.grid, _synthesize([c], plan, False)[0, 0])
 
 
 def synthesize_gradient(c: SpectralField, plan: TransformPlan):
     """Pointwise (df/dtheta, df/dphi) of the truncated expansion, as real arrays."""
-    d_theta, d_phi = _synthesize_gradients([c], plan)[:, 0]
+    d_theta, d_phi = _synthesize([c], plan, True)[:, 0]
     return d_theta, d_phi
 
 

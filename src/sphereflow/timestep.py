@@ -146,7 +146,7 @@ def _advection_coeffs(omega: spharm.SpectralField, plan: spharm.TransformPlan) -
     A zonal omega gives exact zeros: both phi-derivatives vanish on every node.
     """
     psi = spharm._solve_poisson(omega)
-    (om_t, ps_t), (om_p, ps_p) = spharm._synthesize_gradients([omega, psi], plan)
+    (om_t, ps_t), (om_p, ps_p) = spharm._synthesize([omega, psi], plan, True)
     s = plan.grid.sin_thetas[:, None]
     bracket = (ps_p / s) * om_t - ps_t * (om_p / s)
     field = spharm.analyze(ScalarField(plan.grid, bracket), plan)
@@ -177,9 +177,9 @@ def rhs(
     return spharm.SpectralField(plan.lmax, tend)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _inverse_eigenvalues(lmax: int) -> np.ndarray:
-    """Read-only 1 / (l(l+1)) for l >= 1, and 0 for l = 0."""
+    """Read-only 1 / (l(l+1)) for l >= 1, and 0 for l = 0, kept for as many lmax as plans."""
     inv = np.zeros(lmax + 1)
     inv[1:] = 1.0 / -spharm.laplacian_eigenvalues(lmax)[1:, 0]
     inv.setflags(write=False)

@@ -25,6 +25,7 @@ from .grid import (
     Grid,
     GridSpec,
     ScalarField,
+    _check_band,
     _write_csv,
     band_max,
     build_grid,
@@ -305,8 +306,10 @@ def run_all_checks(
     Phi = k1^2 cosh^2(omega/k1) are functions of omega/k1, so the harmonic
     residual is divided by |k1| and the Phi stencil takes the step
     1e-4 * |k1|; at k1 = +-1 both are unchanged.  A |k1| outside
-    :data:`K1_RANGE` raises ValueError before any check runs.
+    :data:`K1_RANGE` raises ValueError before any check runs, and so does a
+    band with a NaN end or with band[0] >= band[1].
     """
+    _check_band(band)
     if p is None:
         p = exact.VortexPairParams(k1=1.0, k2=0.0)
     if p.k2 != 0.0:

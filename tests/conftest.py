@@ -94,15 +94,15 @@ def uniform_grid():
 
 @pytest.fixture
 def count_order_profiles(monkeypatch):
-    """Record the plan lmax of every call to the per-order Legendre loop."""
+    """Record the plan lmax of every call to the per-order synthesis."""
     calls = []
-    real = spharm._order_profiles
+    real = spharm._synthesize
 
-    def counted(fields, plan, blocks):
+    def counted(fields, plan, gradients):
         calls.append(plan.lmax)
-        return real(fields, plan, blocks)
+        return real(fields, plan, gradients)
 
-    monkeypatch.setattr(spharm, "_order_profiles", counted)
+    monkeypatch.setattr(spharm, "_synthesize", counted)
     return calls
 
 

@@ -191,6 +191,17 @@ def test_evolve_rejects_huge_degree_before_allocating(tmp_path):
     assert "line 2: degree l=100000000 exceeds the truncation lmax=6" in proc.stderr
 
 
+def test_evolve_names_a_non_ascii_byte_in_the_spectral_file(tmp_path, capsys):
+    # a UTF-8 byte-order mark used to surface as the codec's bare message
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeffl,m,re,im\n1,0,1.0,0.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["evolve", "--init", f"file:{path}", "--lmax", "4", "--steps", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path} line 1: byte 0xef is not ASCII\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rows,line,pair",
     [
@@ -419,6 +430,22 @@ def test_residual_band_without_rows_exits_two_before_writing(tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert "band contains no grid rows" in capsys.readouterr().err
     assert not (tmp_path / "residual.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["checks", "residual"])
+@pytest.mark.parametrize(
+    "lo,hi,shown",
+    [("nan", "2", "[nan, 2]"), ("1", "nan", "[1, nan]"), ("0.5", "0.45", "[0.5, 0.45]"),
+     ("1", "1", "[1, 1]")],
+    ids=["nan-lo", "nan-hi", "reversed", "equal"],
+)
+def test_nan_or_reversed_band_exits_two_naming_the_band(tmp_path, capsys, command, lo, hi, shown):
+    # checks said "colatitude must be finite" or "band does not intersect the
+    # pole-excluded core", residual "band contains no grid rows"
+    argv = [command, "--nlat", "8", "--nlon", "8", "--band-lo", lo, "--band-hi", hi]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: band {shown} needs lo < hi, with neither NaN\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_evolve_out_of_memory_exits_one_without_traceback(tmp_path, capsys):

@@ -45,6 +45,12 @@ whose BLAS ``ddot`` rounds differently under each OpenBLAS kernel: by at most
 weighted power, the worst error over these series went from 5.2e-16 to
 3.7e-16, and ``golden_basic_l31`` became the same bytes under the SkylakeX
 and Haswell kernels.  Every other column kept its bytes.
+
+``golden_random_l127_inviscid`` pins the shape of a benchmark evolve job at
+lmax 127, which no CLI run covers: the seed-1 ``random_real_field(127)``
+scaled to L2 norm 10, run for two steps of 2e-3 at nu = 0.  It must match
+byte for byte.  Like every non-zonal series its stage GEMMs depend on the
+BLAS kernel (it keeps its bytes under Haswell, not under Prescott).
 """
 
 from pathlib import Path
@@ -55,6 +61,7 @@ import pytest
 from sphereflow import spharm, timestep
 from sphereflow.cli import main
 from sphereflow.grid import GridSpec, build_grid
+from sphereflow.timestep import EvolutionConfig, evolve, write_time_series
 
 DATA = Path(__file__).parent / "data"
 IC = DATA / "golden_ic_l20.csv"
@@ -115,3 +122,11 @@ def test_file_l24_matches_its_series_on_128_longitudes(tmp_path, monkeypatch):
     monkeypatch.setattr(timestep, "transform_plan_for", lambda lmax, dealias: plan)
     assert main(["evolve", *CASES["golden_file_l24"], "--out", str(tmp_path)]) == 0
     _assert_matches(tmp_path / "timeseries.csv", "golden_file_l24_nlon128")
+
+
+def test_random_l127_series_is_pinned(tmp_path):
+    c = spharm.random_real_field(127, np.random.default_rng(1))
+    c = spharm.SpectralField(127, c.coeffs * (10.0 / spharm.l2_norm(c)))
+    path = tmp_path / "timeseries.csv"
+    write_time_series(evolve(c, EvolutionConfig(nu=0.0, dt=2e-3, steps=2, lmax=127)), path)
+    assert path.read_bytes() == (DATA / "golden_random_l127_inviscid.csv").read_bytes()

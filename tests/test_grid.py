@@ -233,14 +233,17 @@ def _phi_major(lines):
         (lambda lines: lines[:5] + lines[4:-1], "data row 5: rows must be theta-major"),
         (lambda lines: lines[:3] + ["0.5,0.5,nan"] + lines[4:], "data row 3: non-finite"),
         (lambda lines: lines[:3] + ["0.5,0.5"] + lines[4:], "data row 3: expected 3 columns"),
+        # a UTF-8 byte-order mark, and a non-ASCII character in a data row
+        (lambda lines: ["\ufeff" + lines[0]] + lines[1:], "line 1: byte 0xef is not ASCII$"),
+        (lambda lines: lines[:4] + ["0.5,0.5,\u00e9"] + lines[5:], "line 5: byte 0xc3 is not"),
     ],
-    ids=["phi-major", "missing-row", "duplicate-row", "nan", "two-columns"],
+    ids=["phi-major", "missing-row", "duplicate-row", "nan", "two-columns", "bom", "non-ascii"],
 )
 def test_scalar_field_csv_rejects_malformed_files(tmp_path, corrupt, match):
     g = build_grid(GridSpec(nlat=4, nlon=4))
     path = tmp_path / "field.csv"
     write_scalar_field(ScalarField(g, np.arange(16.0).reshape(4, 4)), path)
-    path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+    path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=match):
         read_scalar_field(path)
 

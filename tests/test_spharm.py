@@ -257,7 +257,7 @@ def test_fused_gradients_match_single_field_calls(plan20):
     rng = np.random.default_rng(11)
     omega = spharm.random_real_field(20, rng)
     psi = spharm.invert_poisson(omega)
-    fused = spharm._synthesize_gradients([omega, psi], plan20)
+    fused = spharm._synthesize([omega, psi], plan20, True)
     for k, c in enumerate([omega, psi]):
         for got, ref in zip(fused[:, k], spharm.synthesize_gradient(c, plan20)):
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -588,14 +588,15 @@ def test_spectral_csv_pads_to_truncation(tmp_path):
         # conj(a_{2,1}) without the (-1)^m sign
         ("2,1,1.0,0.5\n2,-1,1.0,-0.5", r"line 5: a_\(l=2,m=-1\) differs"),
         ("3,0,1.0,0.5", r"line 4: a_\(l=3,m=0\) differs"),
+        ("2,1,1.0,0.0 \u00e9", r"coeffs\.csv line 4: byte 0xc3 is not ASCII$"),
     ],
     ids=["m-beyond-l", "negative-l", "duplicate", "nan", "inf", "three-columns",
          "five-columns", "non-integer-degree", "huge-degree", "missing-negative-order",
-         "missing-positive-order", "wrong-sign", "complex-zonal"],
+         "missing-positive-order", "wrong-sign", "complex-zonal", "non-ascii"],
 )
 def test_spectral_csv_rejects_bad_rows(tmp_path, row, match):
     path = tmp_path / "coeffs.csv"
-    path.write_text(f"l,m,re,im\n0,0,0.0,0.0\n1,0,1.0,0.0\n{row}\n")
+    path.write_text(f"l,m,re,im\n0,0,0.0,0.0\n1,0,1.0,0.0\n{row}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=match):
         spharm.read_spectral_field(path, 4)
 

@@ -170,7 +170,7 @@ def test_rhs_of_zonal_projection_is_pure_viscous():
 def _transform_bracket(omega, plan):
     """The advection bracket through the full transform path, skipping no work."""
     psi = spharm.invert_poisson(omega)
-    (om_t, ps_t), (om_p, ps_p) = spharm._synthesize_gradients([omega, psi], plan)
+    (om_t, ps_t), (om_p, ps_p) = spharm._synthesize([omega, psi], plan, True)
     s = plan.grid.sin_thetas[:, None]
     bracket = (ps_p / s) * om_t - ps_t * (om_p / s)
     out = np.array(spharm.analyze(ScalarField(plan.grid, bracket), plan).coeffs)
@@ -180,14 +180,16 @@ def _transform_bracket(omega, plan):
 
 @pytest.fixture
 def count_transforms(monkeypatch):
+    """Record the plan lmax of every gradient synthesis, one per advection bracket."""
     calls = []
-    real = spharm._synthesize_gradients
+    real = spharm._synthesize
 
-    def counted(fields, plan):
-        calls.append(plan.lmax)
-        return real(fields, plan)
+    def counted(fields, plan, gradients):
+        if gradients:
+            calls.append(plan.lmax)
+        return real(fields, plan, gradients)
 
-    monkeypatch.setattr(spharm, "_synthesize_gradients", counted)
+    monkeypatch.setattr(spharm, "_synthesize", counted)
     return calls
 
 
@@ -590,6 +592,13 @@ def test_evolve_same_from_cold_and_warm_cache(tmp_path, zonal):
     warm = _series_bytes(omega, cfg, tmp_path / "warm.csv")
     assert timestep.transform_plan_for.cache_info().hits >= 1
     assert cold == warm
+
+
+def test_inverse_eigenvalues_stay_bounded_over_a_drift_sweep():
+    # kept for as many truncations as the plans, not one per truncation ever run
+    for lmax in range(2, 41):
+        steadiness_drift(P1, lmax, nu=0.01, t_final=0.5)
+    assert timestep._inverse_eigenvalues.cache_info().currsize <= 4
 
 
 def test_evolve_zero_initial_condition():
