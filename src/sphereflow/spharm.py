@@ -226,7 +226,7 @@ class TransformPlan:
 
     @functools.cached_property
     def _zonal_plm(self) -> np.ndarray:
-        return self._northern_tables(1)[:, 1]  # the bytes of plm_blocks[0]
+        return self._northern_tables(1)[:, 1]  # the bytes of table_blocks[0]'s function half
 
     def _northern_tables(self, orders: int) -> np.ndarray:
         a = _legendre_tables(self.grid.thetas[: (self.grid.nlat + 1) // 2], self.lmax, orders)
@@ -240,12 +240,6 @@ class TransformPlan:
     @property
     def dplm(self) -> np.ndarray:
         return self.tables[:, 0]
-
-    @functools.cached_property
-    def plm_blocks(self) -> list:
-        """Per-order views plm[off[m]:off[m+1]], m = 0..lmax."""
-        off = _order_offsets(self.lmax)
-        return [self.plm[off[m] : off[m + 1]] for m in range(self.lmax + 1)]
 
     @functools.cached_property
     def table_blocks(self) -> list:
@@ -285,11 +279,6 @@ def build_plan(grid: Grid, lmax: int) -> TransformPlan:
     return TransformPlan(grid=grid, lmax=lmax)
 
 
-def _require_plan_grid(f: ScalarField, plan: TransformPlan) -> None:
-    if not _same_nodes(f.grid, plan.grid):
-        raise ValueError("field grid does not match the transform plan")
-
-
 def analyze(f: ScalarField, plan: TransformPlan) -> SpectralField:
     """Project a real field onto the orthonormal basis by quadrature.
 
@@ -301,35 +290,41 @@ def analyze(f: ScalarField, plan: TransformPlan) -> SpectralField:
     real GEMM of its northern table block against both weighted half spectra;
     degrees with l - m even take the symmetric one, odd the antisymmetric one.
     """
-    _require_plan_grid(f, plan)
+    if not _same_nodes(f.grid, plan.grid):
+        raise ValueError("field grid does not match the transform plan")
+    return SpectralField(plan.lmax, _analyze(f.values, plan))
+
+
+def _analyze(values: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    """The coefficients of :func:`analyze` from the values on the plan's grid, a fresh array."""
     g, L = plan.grid, plan.lmax
     north, nh = plan.plm.shape[1], g.nlat // 2
-    v = f.values
     halves = np.empty((north, 2, g.nlon))  # [northern row, parity, phi]
-    np.add(v[:nh], v[: -nh - 1 : -1], out=halves[:nh, 0])
-    np.subtract(v[:nh], v[: -nh - 1 : -1], out=halves[:nh, 1])
-    halves[nh:] = v[nh:north, None]
+    np.add(values[:nh], values[: -nh - 1 : -1], out=halves[:nh, 0])
+    np.subtract(values[:nh], values[: -nh - 1 : -1], out=halves[:nh, 1])
+    halves[nh:] = values[nh:north, None]
     F = np.fft.rfft(halves, axis=-1)[..., : L + 1]  # sum_j half(theta_i, phi_j) exp(-i m phi_j)
     rows = np.empty((L + 1, north, 2), dtype=np.complex128)  # [m, northern row, parity]
     np.multiply(F.transpose(2, 0, 1), (g.weights[:north] * g.dphi)[:, None], out=rows)
     rows = rows.view(np.float64).reshape(L + 1, north, 4)
     out = np.zeros((L + 1, L + 1, 4))  # [m, l, parity and re/im]
-    for m, block in enumerate(plan.plm_blocks):
-        np.matmul(block, rows[m], out=out[m, m:])
+    for m, block in enumerate(plan.table_blocks):
+        np.matmul(block[:, north:], rows[m], out=out[m, m:])
     by_parity = out.view(np.complex128)  # [m, l, parity]
     odd = np.arange(L + 1) % 2 != np.arange(L + 1)[:, None] % 2  # [m, l]: l - m odd
-    return SpectralField(L, np.where(odd, by_parity[..., 1], by_parity[..., 0]).T)
+    return np.where(odd, by_parity[..., 1], by_parity[..., 0]).T
 
 
 def _synthesize(fields, plan: TransformPlan, gradients: bool) -> np.ndarray:
     """Grid values of every field, or of its (d/dtheta, d/dphi) when ``gradients`` is true.
 
     On the northern rows, one real GEMM per order serves every table, field
-    and parity: the coefficients enter as float64 (re, im) pairs split by the
-    parity of l - m, against ``plan.plm_blocks``, or ``plan.table_blocks``
-    (d/dtheta first) for the gradients.  This gives the even and odd parts in
-    l - m of G_m(theta_i) = sum_l a_{l,m} table[off[m] + l - m, i], and the
-    real sum over all orders of G_m exp(i m phi_j), with G_{-m} = conj(G_m),
+    and parity: each field's coefficient array enters as float64 (re, im)
+    pairs split by the parity of l - m, against the function half of
+    ``plan.table_blocks``, or the whole block (d/dtheta first) for the
+    gradients.  This gives the even and odd parts in l - m of
+    G_m(theta_i) = sum_l a_{l,m} table[off[m] + l - m, i], and the real sum
+    over all orders of G_m exp(i m phi_j), with G_{-m} = conj(G_m),
     takes one irfft per part and northern row; d/dphi enters the spectrum
     times i m.  The northern rows are even + odd and their mirrors even - odd,
     with the parts swapped for d/dtheta, whose parity is the opposite.
@@ -337,20 +332,20 @@ def _synthesize(fields, plan: TransformPlan, gradients: bool) -> np.ndarray:
     two, d/dtheta then d/dphi.
     """
     g, L, nf, north = plan.grid, plan.lmax, len(fields), plan.plm.shape[1]
-    blocks, ntab = (plan.table_blocks, 2) if gradients else (plan.plm_blocks, 1)
+    ntab = 2 if gradients else 1
     cols = np.zeros((L + 1, L + 1, 2, nf), dtype=np.complex128)  # [m, l, parity, field]
     for k, c in enumerate(fields):
-        if c.lmax > L:
-            raise ValueError(f"plan resolves lmax={L} < field lmax={c.lmax}")
+        a, n = c.T, len(c)
+        if n > L + 1:
+            raise ValueError(f"plan resolves lmax={L} < field lmax={n - 1}")
         # the pairs of one parity form a checkerboard in (m, l): four strided blocks
-        a, n = c.coeffs.T, c.lmax + 1
         for i in (0, 1):
             for j in (0, 1):
                 cols[i:n:2, j:n:2, (i + j) % 2, k] = a[i::2, j::2]
     cols = cols.view(np.float64).reshape(L + 1, L + 1, 4 * nf)
     out = np.empty((L + 1, ntab * north, 4 * nf))  # [m, table and row, parity/field/re-im]
-    for m, block in enumerate(blocks):
-        np.matmul(block.T, cols[m, m:], out=out[m])
+    for m, block in enumerate(plan.table_blocks):
+        np.matmul((block if gradients else block[:, north:]).T, cols[m, m:], out=out[m])
     # [table, field, parity, northern row, m], the parities swapped for d/dtheta
     by_order = out.view(np.complex128).reshape(L + 1, ntab, north, 2, nf).transpose(1, 4, 3, 2, 0)
     spectrum = np.zeros((ntab, nf, 2, north, g.nlon // 2 + 1), dtype=np.complex128)
@@ -384,13 +379,12 @@ def _zonal_rows(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
 
 def synthesize(c: SpectralField, plan: TransformPlan) -> ScalarField:
     """Evaluate sum a_{l,m} Y_l^m over all orders -l..l on the plan's grid."""
-    return ScalarField(plan.grid, _synthesize([c], plan, False)[0, 0])
+    return ScalarField(plan.grid, _synthesize([c.coeffs], plan, False)[0, 0])
 
 
 def synthesize_gradient(c: SpectralField, plan: TransformPlan):
     """Pointwise (df/dtheta, df/dphi) of the truncated expansion, as real arrays."""
-    d_theta, d_phi = _synthesize([c], plan, True)[:, 0]
-    return d_theta, d_phi
+    return tuple(_synthesize([c.coeffs], plan, True)[:, 0])
 
 
 def laplacian_eigenvalues(lmax: int) -> np.ndarray:
@@ -420,17 +414,16 @@ def check_gauss_constraint(omega: SpectralField) -> None:
 def invert_poisson(omega: SpectralField) -> SpectralField:
     """Solve -lap(psi) = omega in coefficients, zero-mean gauge, once the Gauss check passes."""
     check_gauss_constraint(omega)
-    return _solve_poisson(omega)
+    return SpectralField(omega.lmax, _solve_poisson(omega.coeffs))
 
 
-def _solve_poisson(omega: SpectralField) -> SpectralField:
-    """-lap(psi) = omega in coefficients, zero-mean gauge, with no Gauss check."""
-    L = omega.lmax
-    eig = laplacian_eigenvalues(L)
+def _solve_poisson(omega: np.ndarray) -> np.ndarray:
+    """-lap(psi) = omega on a coefficient array, zero-mean gauge, with no Gauss check."""
+    eig = laplacian_eigenvalues(len(omega) - 1)
     eig[0, 0] = -1.0  # placeholder, the l = 0 row is zeroed below
-    psi = omega.coeffs / (-eig)
+    psi = omega / (-eig)
     psi[0, :] = 0.0
-    return SpectralField(L, psi)
+    return psi
 
 
 def write_spectral_field(c: SpectralField, path) -> None:

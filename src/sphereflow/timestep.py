@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from . import exact, spharm
-from .grid import DEFAULT_BAND, GridSpec, ScalarField, _write_csv, build_grid
+from .grid import DEFAULT_BAND, GridSpec, _write_csv, build_grid
 
 class InstabilityError(RuntimeError):
     """Raised when |omega| turns non-finite or blows past ten times its initial amplitude."""
@@ -138,8 +138,8 @@ def transform_plan_for(lmax: int, dealias: bool) -> spharm.TransformPlan:
     return spharm.build_plan(grid, lmax)
 
 
-def _advection_coeffs(omega: spharm.SpectralField, plan: spharm.TransformPlan) -> np.ndarray:
-    """Spectral image of (1/sin) J(psi, omega).
+def _advection_coeffs(omega: np.ndarray, plan: spharm.TransformPlan) -> np.ndarray:
+    """Spectral image of (1/sin) J(psi, omega), coefficient array to coefficient array.
 
     No Gauss check: :func:`rhs` and :func:`evolve` check the field that enters,
     not each stage, whose norm decays under viscosity while a_{0,0} does not.
@@ -148,9 +148,7 @@ def _advection_coeffs(omega: spharm.SpectralField, plan: spharm.TransformPlan) -
     psi = spharm._solve_poisson(omega)
     (om_t, ps_t), (om_p, ps_p) = spharm._synthesize([omega, psi], plan, True)
     s = plan.grid.sin_thetas[:, None]
-    bracket = (ps_p / s) * om_t - ps_t * (om_p / s)
-    field = spharm.analyze(ScalarField(plan.grid, bracket), plan)
-    out = np.array(field.coeffs)
+    out = spharm._analyze((ps_p / s) * om_t - ps_t * (om_p / s), plan)
     out[0, 0] = 0.0  # the mean is exactly conserved by advection
     return out
 
@@ -171,7 +169,7 @@ def rhs(
     if omega.lmax != plan.lmax:
         raise ValueError("vorticity truncation does not match the plan")
     spharm.check_gauss_constraint(omega)
-    tend = -_advection_coeffs(omega, plan)
+    tend = -_advection_coeffs(omega.coeffs, plan)
     if cfg.nu != 0.0:
         tend = tend + cfg.nu * spharm.laplacian_eigenvalues(plan.lmax) * omega.coeffs
     return spharm.SpectralField(plan.lmax, tend)
@@ -219,21 +217,20 @@ def _lawson_steps(omega0, cfg, plan):
         c' = E c + dt/6 (E k1 + 2 E_half k2 + 2 E_half k3 + k4),
 
     summed in the order of the classical scheme, which it equals at nu = 0.
+    The stages are arrays; each recorded state is a :class:`~sphereflow.spharm.SpectralField`.
     """
-    L, dt = cfg.lmax, cfg.dt
+    dt = cfg.dt
     E, E_half = _viscous_factors(cfg)
-    # each stage's coefficients are freed once its field holds a copy, before the transforms
-    field = functools.partial(spharm.SpectralField, L)
     omega = omega0
     for k in range(cfg.steps + 1):
         if k:
             c = omega.coeffs
-            k1 = -_advection_coeffs(omega, plan)
-            k2 = -_advection_coeffs(field(E_half * (c + 0.5 * dt * k1)), plan)
-            k3 = -_advection_coeffs(field(E_half * c + 0.5 * dt * k2), plan)
-            k4 = -_advection_coeffs(field(E * c + dt * (E_half * k3)), plan)
+            k1 = -_advection_coeffs(c, plan)
+            k2 = -_advection_coeffs(E_half * (c + 0.5 * dt * k1), plan)
+            k3 = -_advection_coeffs(E_half * c + 0.5 * dt * k2, plan)
+            k4 = -_advection_coeffs(E * c + dt * (E_half * k3), plan)
             c = E * c + (dt / 6.0) * (E * k1 + 2.0 * E_half * k2 + 2.0 * E_half * k3 + k4)
-            omega = field(c)
+            omega = spharm.SpectralField(cfg.lmax, c)
         yield spharm.power(omega).sum(axis=1)[None], spharm.synthesize(omega, plan).values[None]
 
 

@@ -180,7 +180,9 @@ def check_mercator_obstruction(chi_samples: np.ndarray) -> CheckReport:
     reaches 0.5 on the sampled range.
     """
     samples = np.asarray(chi_samples, dtype=np.float64).ravel()
-    if np.max(np.abs(samples), initial=0.0) > 10.0:
+    if samples.size == 0:
+        raise ValueError("chi_samples needs at least one sample")
+    if np.max(np.abs(samples)) > 10.0:
         raise ValueError("samples must satisfy |chi| <= 10")
     h = 1e-3
     lo = float(samples.min()) - 2.0 * h
@@ -213,10 +215,13 @@ def check_functional_relation_identities(
     from profile samples (psi(theta) is strictly monotone), differentiated by
     fourth-order stencils; each residual is normalized by the band maximum
     of its right-hand side, and the report carries the larger of the two.
-    No grid is built: the profile is sampled on ``ntheta`` nodes of ``band``.
+    No grid is built: the profile is sampled on ``ntheta`` nodes of ``band``,
+    at least nine, which the nested stencils need for one residual node.
     """
     if p.k1 == 0.0:
         raise ValueError("profile relation needs k1 != 0")
+    if ntheta < 9:
+        raise ValueError(f"ntheta = {ntheta}: the nested fourth-order stencils need at least 9")
     thetas = np.linspace(band[0], band[1], ntheta)
     psi = exact.streamfunction_profile(thetas, p)
     omega = exact.vorticity_profile(thetas, p)
@@ -298,9 +303,19 @@ def run_all_checks(
     residual is divided by |k1| and the Phi stencil takes the step
     1e-4 * |k1|; at k1 = +-1 both are unchanged.  A |k1| outside
     :data:`K1_RANGE` raises ValueError before any check runs, and so does a
-    band with a NaN end or with band[0] >= band[1].
+    band with a NaN end or with band[0] >= band[1], or one that misses the
+    pole-excluded core :data:`~sphereflow.grid.DEFAULT_BAND`.
     """
     _check_band(band)
+    # grid checks honor the requested band; profile-parameter checks sample
+    # its pole-excluded core, since their tolerance budgets assume moderate
+    # profile values (the vorticity diverges at the cores)
+    core = (max(band[0], DEFAULT_BAND[0]), min(band[1], DEFAULT_BAND[1]))
+    if core[0] >= core[1]:
+        raise ValueError(
+            f"band [{band[0]:g}, {band[1]:g}] does not intersect the pole-excluded core "
+            f"[{DEFAULT_BAND[0]:g}, {DEFAULT_BAND[1]:g}] (pi/8 to 7 pi/8) of the profile checks"
+        )
     if p is None:
         p = exact.VortexPairParams(k1=1.0, k2=0.0)
     if p.k2 != 0.0:
@@ -315,12 +330,6 @@ def run_all_checks(
         )
     grid = build_grid(GridSpec(nlat=nlat, nlon=nlon, kind=kind))
     psi, omega = vortex_pair_fields(p, grid)
-    # grid checks honor the requested band; profile-parameter checks sample
-    # its pole-excluded core, since their tolerance budgets assume moderate
-    # profile values (the vorticity diverges at the cores)
-    core = (max(band[0], DEFAULT_BAND[0]), min(band[1], DEFAULT_BAND[1]))
-    if core[0] >= core[1]:
-        raise ValueError("band does not intersect the pole-excluded core")
     omega_core = exact.vorticity_profile(np.linspace(core[0], core[1], 257), p)
     if phi_model == "cosh2":
         phi_func = lambda w: exact.gradient_modulus_function(w, p)

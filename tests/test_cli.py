@@ -457,6 +457,24 @@ def test_residual_band_without_rows_exits_two_before_writing(tmp_path, capsys):
     assert not (tmp_path / "residual.csv").exists()
 
 
+@pytest.mark.parametrize("lo,hi", [("0.1", "0.3"), ("2.9", "3.0")], ids=["north", "south"])
+def test_checks_band_inside_a_polar_cap_exits_two_naming_band_and_core(
+    tmp_path, capsys, monkeypatch, lo, hi
+):
+    # the profile checks sample the band's part of [pi/8, 7 pi/8]; a band with
+    # none is refused before the grid is built, naming both intervals
+    def refuse(spec):
+        raise AssertionError(f"built a {spec.nlat} x {spec.nlon} grid")
+
+    monkeypatch.setattr(verify, "build_grid", refuse)
+    argv = ["checks", "--band-lo", lo, "--band-hi", hi, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: band [{float(lo):g}, {float(hi):g}] does not intersect" in err
+    assert "pole-excluded core [0.392699, 2.74889] (pi/8 to 7 pi/8)" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["checks", "residual"])
 @pytest.mark.parametrize(
     "lo,hi,shown",

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,6 +30,7 @@ from conftest import (
 )
 
 P1 = exact.VortexPairParams(k1=1.0, k2=0.0)
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize(
@@ -170,7 +172,7 @@ def test_rhs_of_zonal_projection_is_pure_viscous():
 def _transform_bracket(omega, plan):
     """The advection bracket through the full transform path, skipping no work."""
     psi = spharm.invert_poisson(omega)
-    (om_t, ps_t), (om_p, ps_p) = spharm._synthesize([omega, psi], plan, True)
+    (om_t, ps_t), (om_p, ps_p) = spharm._synthesize([omega.coeffs, psi.coeffs], plan, True)
     s = plan.grid.sin_thetas[:, None]
     bracket = (ps_p / s) * om_t - ps_t * (om_p / s)
     out = np.array(spharm.analyze(ScalarField(plan.grid, bracket), plan).coeffs)
@@ -212,7 +214,7 @@ def test_zonal_shortcut_equals_transform_path(kind, lmax, dealias, count_transfo
     omega = random_zonal(lmax, 5) if kind == "random" else timestep.project_vortex_pair(P1, lmax)
     full = _transform_bracket(omega, plan)
     assert not full.any()
-    assert np.array_equal(timestep._advection_coeffs(omega, plan), full)
+    assert np.array_equal(timestep._advection_coeffs(omega.coeffs, plan), full)
     # at most 0.05, and short enough that the top degree decays by no more than exp(-1.4) a step
     dt = min(0.05, 1.4 / (0.01 * lmax * (lmax + 1)))
     steps = timestep._ZONAL_BLOCK + 2 if kind == "blocks" else 6
@@ -233,7 +235,7 @@ def test_near_zonal_field_takes_transform_path(count_transforms):
     plan = timestep.transform_plan_for(L, True)
     omega = random_zonal(L, 5)
     omega = spharm.SpectralField(L, omega.coeffs + 1e-3 * spharm.real_single_mode(L, 3, 1).coeffs)
-    got = timestep._advection_coeffs(omega, plan)
+    got = timestep._advection_coeffs(omega.coeffs, plan)
     assert count_transforms == [L]
     assert np.max(np.abs(got)) > 1e-6
     assert np.array_equal(got, _transform_bracket(omega, plan))
@@ -675,6 +677,51 @@ def test_rk4_temporal_order(recorded_states):
         errors.append(np.max(np.abs(recorded_states[-1].coeffs[l] - wave)))
     assert errors[-1] > 1e-9  # well above rounding
     assert fit_order(errors) == pytest.approx(4.0, abs=0.3)
+
+
+def _golden_ic():
+    return spharm.read_spectral_field(DATA / "golden_ic_l20.csv", 24)
+
+
+def _random_l127():
+    c = spharm.random_real_field(127, np.random.default_rng(1))
+    return spharm.SpectralField(127, c.coeffs * (10.0 / spharm.l2_norm(c)))
+
+
+@pytest.mark.parametrize(
+    "initial,dt,steps", [(_golden_ic, 0.005, 20), (_random_l127, 2e-3, 5)], ids=["l24", "l127"]
+)
+def test_inviscid_lawson_step_is_classical_rk4(initial, dt, steps, recorded_states):
+    # at nu = 0 the integrating factor is exactly 1, so every recorded state
+    # must be the classical step c + dt/6 (k1 + 2 k2 + 2 k3 + k4) of the
+    # public tendency, byte for byte, whatever kernel the BLAS picks
+    omega = initial()
+    L = omega.lmax
+    cfg = EvolutionConfig(nu=0.0, dt=dt, steps=steps, lmax=L)
+    evolve(omega, cfg)
+    assert len(recorded_states) == steps + 1
+    c = omega.coeffs
+    for state in recorded_states[1:]:
+        k1 = rhs(spharm.SpectralField(L, c), cfg).coeffs
+        k2 = rhs(spharm.SpectralField(L, c + 0.5 * dt * k1), cfg).coeffs
+        k3 = rhs(spharm.SpectralField(L, c + 0.5 * dt * k2), cfg).coeffs
+        k4 = rhs(spharm.SpectralField(L, c + dt * k3), cfg).coeffs
+        c = spharm.SpectralField(L, c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).coeffs
+        assert state.coeffs.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+def test_stepped_evolve_builds_one_spectral_field_per_step(steps, monkeypatch):
+    # the Lawson stages are coefficient arrays: only each recorded state is a
+    # SpectralField, so its realness checks run once a step, not on every stage
+    omega = spharm.random_real_field(12, np.random.default_rng(4))
+    built = []
+    real = spharm.SpectralField.__post_init__
+    monkeypatch.setattr(
+        spharm.SpectralField, "__post_init__", lambda self: built.append(1) or real(self)
+    )
+    evolve(omega, EvolutionConfig(nu=0.01, dt=5e-3, steps=steps, lmax=12))
+    assert len(built) == steps
 
 
 def test_single_mode_decay_without_dealiasing():

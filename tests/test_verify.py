@@ -148,6 +148,12 @@ def test_mercator_obstruction_rejects_wide_samples():
         verify.check_mercator_obstruction(np.array([0.0, 11.0]))
 
 
+def test_mercator_obstruction_needs_a_sample():
+    with pytest.raises(ValueError, match="chi_samples needs at least one sample"):
+        verify.check_mercator_obstruction(np.array([]))
+    assert verify.check_mercator_obstruction(np.array([0.0])).passed
+
+
 def test_functional_relation_identities():
     report = verify.check_functional_relation_identities(P1, ntheta=1024)
     assert report.passed
@@ -175,6 +181,19 @@ def test_functional_relation_sign_flip_invariance():
 def test_functional_relation_rejects_zero_strength():
     with pytest.raises(ValueError):
         verify.check_functional_relation_identities(exact.VortexPairParams(0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda n: verify.check_functional_relation_identities(P1, ntheta=n),
+     lambda n: verify.run_all_checks(ntheta=n)],
+    ids=["check", "run_all_checks"],
+)
+def test_functional_relation_needs_nine_profile_nodes(entry):
+    # the nested fourth-order stencils leave one residual node from nine samples, none from eight
+    with pytest.raises(ValueError, match="ntheta = 8: .* at least 9"):
+        entry(8)
+    assert entry(9) is not None
 
 
 def test_zonal_consistency():
