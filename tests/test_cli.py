@@ -71,6 +71,21 @@ def test_checks_near_pole_band_warns_but_passes(tmp_path, capsys):
     assert "warning" in captured.err
 
 
+@pytest.mark.parametrize(
+    "lo,hi,code,warned",
+    [("0.01", "0.03", 2, []),
+     ("0.02", "1.0", 0, ["warning: band [0.02, 1] reaches within 0.05 of a pole; "
+                         "residuals there sit on the vortex-core singularity"])],
+    ids=["refused", "accepted"],
+)
+def test_checks_warns_of_the_pole_only_for_an_accepted_band(tmp_path, capsys, lo, hi, code, warned):
+    # a band refused before any check runs has no residuals to warn about
+    argv = ["checks", "--nlat", "64", "--nlon", "16", "--band-lo", lo, "--band-hi", hi]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("warning:")] == warned
+
+
 NEAR_POLE = f"{math.pi - 1e-6!r}"
 
 

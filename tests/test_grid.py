@@ -310,7 +310,19 @@ def test_build_grid_is_cached_per_spec():
     assert wider is not g and wider.nlon == 16 and np.array_equal(wider.thetas, g.thetas)
 
 
-@pytest.mark.parametrize("name", ["thetas", "phis", "weights", "sin_thetas", "cos_thetas", "chis"])
+@pytest.mark.parametrize("kind", ["gauss-legendre", "uniform-interior"])
+@pytest.mark.parametrize("nlat", [4, 5, 16, 17, 96, 97])
+def test_default_band_rows_are_the_rows_of_the_band_mask(kind, nlat):
+    g = build_grid(GridSpec(nlat=nlat, nlon=8, kind=kind))
+    rows = g.default_band_rows
+    assert np.array_equal(rows, np.flatnonzero(g.band_mask(*sgrid.DEFAULT_BAND)))
+    assert rows.size and np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
+    assert g.default_band_rows is rows
+
+
+@pytest.mark.parametrize(
+    "name", ["thetas", "phis", "weights", "sin_thetas", "cos_thetas", "chis", "default_band_rows"]
+)
 def test_cached_grid_is_read_only(name):
     g = build_grid(GridSpec(nlat=12, nlon=8))
     with pytest.raises(ValueError, match="read-only"):

@@ -609,6 +609,27 @@ def test_inverse_eigenvalues_stay_bounded_over_a_drift_sweep():
     assert timestep._inverse_eigenvalues.cache_info().currsize <= 4
 
 
+def test_pair_shape_cache_stays_bounded_and_read_only_over_a_drift_sweep():
+    for lmax in range(2, 41):
+        steadiness_drift(P1, lmax, nu=0.01, t_final=0.5)
+    assert timestep._pair_shape.cache_info().currsize <= timestep.PLAN_CACHE_SIZE
+    for a in timestep._pair_shape(40):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("k1", [1.0, -1.7, 3e-3])
+@pytest.mark.parametrize("lmax", [2, 15, 63])
+def test_cached_pair_shape_gives_the_closed_form_bytes(k1, lmax):
+    # -k1 sqrt(4 pi (2l+1)) / (l(l+1)) for odd l, in that order of operations,
+    # whether the shape is cached or not
+    ls = np.arange(1, lmax + 1, 2, dtype=np.float64)
+    want = -k1 * np.sqrt(4.0 * math.pi * (2.0 * ls + 1.0)) / (ls * (ls + 1.0))
+    for _ in range(2):
+        got = timestep.project_vortex_pair(exact.VortexPairParams(k1=k1), lmax).coeffs
+        assert got[1::2, 0].tobytes() == want.astype(np.complex128).tobytes()
+
+
 def test_evolve_zero_initial_condition():
     cfg = EvolutionConfig(nu=0.1, dt=1e-2, steps=5, lmax=4)
     series = evolve(zeros(4), cfg)

@@ -196,6 +196,20 @@ def test_functional_relation_needs_nine_profile_nodes(entry):
     assert entry(9) is not None
 
 
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [(dict(ntheta=8), "ntheta = 8: .* at least 9"), (dict(phi_model="quartic"), "unknown phi model")],
+    ids=["ntheta", "phi-model"],
+)
+def test_run_all_checks_refuses_bad_input_before_building_a_grid(monkeypatch, kwargs, match):
+    def refuse(spec):
+        raise AssertionError(f"built a {spec.nlat} x {spec.nlon} grid")
+
+    monkeypatch.setattr(verify, "build_grid", refuse)
+    with pytest.raises(ValueError, match=match):
+        verify.run_all_checks(**kwargs)
+
+
 def test_zonal_consistency():
     report = verify.check_zonal_consistency(P1)
     assert report.passed
