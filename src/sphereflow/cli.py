@@ -20,6 +20,7 @@ from .grid import (
     DEFAULT_BAND,
     GridSpec,
     ScalarField,
+    _band_rows,
     band_max,
     build_grid,
     require_finite,
@@ -80,12 +81,13 @@ def cmd_fields(args) -> int:
 
 def cmd_residual(args) -> int:
     grid = _build_grid(args)
+    band = (args.band_lo, args.band_hi)
+    _band_rows(grid, band)  # a band without a grid row is refused before any field is sampled
     p = exact.VortexPairParams(k1=args.k1, k2=args.k2)
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports an overflow
         psi = exact.streamfunction_field(p, grid)
         omega = exact.vorticity_field(p, grid)
         res = operators.ns_residual(psi, omega, args.nu)
-        band = (args.band_lo, args.band_hi)
         res_max = band_max(res, band)
     require_finite(res, "residual.csv")  # before the directory: a refused run leaves nothing
     out = _out_dir(args)

@@ -150,12 +150,22 @@ def _check_band(band) -> None:
         raise ValueError(f"band [{band[0]:g}, {band[1]:g}] needs lo < hi, with neither NaN")
 
 
+def _band_rows(grid: Grid, band) -> slice:
+    """The rows with band[0] <= theta <= band[1], as one slice; ValueError if there are none.
+
+    The colatitudes increase, so those rows are contiguous.
+    """
+    _check_band(band)
+    t = grid.thetas
+    lo, hi = np.searchsorted(t, band[0], "left"), np.searchsorted(t, band[1], "right")
+    if lo == hi:
+        raise ValueError("band contains no grid rows")
+    return slice(lo, hi)
+
+
 def band_max(field: ScalarField, band) -> float:
     """Max |value| over the rows with band[0] <= theta <= band[1]; ValueError if none."""
-    mask = field.grid.band_mask(*band)
-    if not mask.any():
-        raise ValueError("band contains no grid rows")
-    return float(np.max(np.abs(field.values[mask, :])))
+    return float(np.max(np.abs(field.values[_band_rows(field.grid, band)])))
 
 
 def cell_weights(thetas: np.ndarray) -> np.ndarray:

@@ -7,10 +7,17 @@ Sign conventions, used consistently everywhere in this package:
     omega   = curl_r(u) = (1/sin(theta)) [d(sin(theta) u_phi)/dtheta - du_theta/dphi]
             = -lap(psi)
 
-Longitude derivatives are centered and periodic.  Colatitude stencils follow
-one three-point rule on any node placement: row i differentiates the quadratic
-through the nodes around its center c = min(max(i, 1), n-2), so an end row uses
-its neighbour's nodes, and a second derivative's end rows equal their neighbours'.
+Longitude derivatives are centered and periodic: one contiguous pass over
+the flattened C-contiguous samples, then the two wrap columns of every row
+(see :func:`_along_rows`).  The Laplacian and the residual combine their
+terms in place in their first full-field array, since each full-field
+temporary costs fresh pages, and become a
+:class:`~sphereflow.grid.ScalarField` only when returned.
+
+Colatitude stencils follow one three-point rule on any node placement: row i
+differentiates the quadratic through the nodes around its center
+c = min(max(i, 1), n-2), so an end row uses its neighbour's nodes, and a second
+derivative's end rows equal their neighbours'.
 The Laplace-Beltrami operator is discretized in the conformal latitude
 chi = log(tan(theta/2)), where it reduces to a plain Laplacian scaled by
 1/sin^2(theta).  This keeps the stencil second-order on any node placement
@@ -52,37 +59,47 @@ def _require_same_grid(a, b) -> Grid:
     return a.grid
 
 
-def _periodic_neighbours(n: int):
-    """(next, here, prev) column slices that cover the n longitudes once, periodic in n.
+def _along_rows(values: np.ndarray, stencil) -> np.ndarray:
+    """Apply ``stencil(next, here, prev, out)`` along every row, periodic in the row.
 
-    A stencil written through them into one output array needs no shifted
-    copy of its input.  Any n >= 1 works: at n = 1 and 2 the interior slices
-    are empty and both neighbours of a column are one and the same column.
+    One pass over the flattened C-contiguous samples covers every interior
+    column; it crosses a row boundary only at the two wrap columns, which are
+    then rewritten from their periodic neighbours.  Both arrays are
+    C-contiguous, so their flat reshapes are views: a reshape that copied
+    would lose the writes.  Any row length works: at 1 and 2 both neighbours
+    of a column are one and the same column.
     """
-    return (
-        (slice(2, None), slice(1, n - 1), slice(0, n - 2)),
-        (slice(1 % n, 1 % n + 1), slice(0, 1), slice(n - 1, n)),
-        (slice(0, 1), slice(n - 1, n), slice((n - 2) % n, (n - 2) % n + 1)),
-    )
+    v = np.ascontiguousarray(values)
+    out = np.empty(v.shape)
+    flat = v.reshape(-1)
+    stencil(flat[2:], flat[1:-1], flat[:-2], out.reshape(-1)[1:-1])
+    n = v.shape[1]
+    for j in (0, n - 1):
+        stencil(v[:, (j + 1) % n], v[:, j], v[:, (j - 1) % n], out[:, j])
+    return out
+
+
+def _centered_difference(nxt, here, prev, out) -> None:
+    np.subtract(nxt, prev, out=out)
+
+
+def _second_difference(nxt, here, prev, out) -> None:
+    """(nxt - 2 here) + prev, written into ``out``."""
+    np.multiply(here, 2.0, out=out)
+    np.subtract(nxt, out, out=out)
+    out += prev
 
 
 def _dphi_values(values: np.ndarray, dphi: float) -> np.ndarray:
     """Centered periodic longitude derivative; exactly zero on zonal rows."""
-    out = np.empty_like(values)
-    for nxt, here, prev in _periodic_neighbours(values.shape[1]):
-        np.subtract(values[:, nxt], values[:, prev], out=out[:, here])
+    out = _along_rows(values, _centered_difference)
     out /= 2.0 * dphi
     return out
 
 
 def _d2phi_values(values: np.ndarray, dphi: float) -> np.ndarray:
     """Periodic second longitude difference ((f_+ - 2 f_0) + f_-) / dphi^2."""
-    out = np.empty_like(values)
-    for nxt, here, prev in _periodic_neighbours(values.shape[1]):
-        o = out[:, here]
-        np.multiply(values[:, here], 2.0, out=o)
-        np.subtract(values[:, nxt], o, out=o)
-        np.add(o, values[:, prev], out=o)
+    out = _along_rows(values, _second_difference)
     out /= dphi**2
     return out
 
@@ -145,6 +162,13 @@ def vorticity_from_velocity(u: VelocityField) -> ScalarField:
     return ScalarField(g, (curl - _dphi_values(u.u_theta, g.dphi)) / s)
 
 
+def _laplace_beltrami_values(values: np.ndarray, g: Grid) -> np.ndarray:
+    out = _apply_row_stencil(values, _three_point_weights(g.chis, 2))
+    out += _d2phi_values(values, g.dphi)
+    out /= g.sin_thetas[:, None] ** 2
+    return out
+
+
 def laplace_beltrami_fd(f: ScalarField) -> ScalarField:
     """Second-order Laplace-Beltrami operator on the grid.
 
@@ -152,10 +176,14 @@ def laplace_beltrami_fd(f: ScalarField) -> ScalarField:
     over the node images chi_i = log(tan(theta_i/2)); equivalent to the
     divergence form (1/sin) d/dtheta (sin d/dtheta) + (1/sin^2) d^2/dphi^2.
     """
-    g = f.grid
-    d2chi = _apply_row_stencil(f.values, _three_point_weights(g.chis, 2))
-    d2phi = _d2phi_values(f.values, g.dphi)
-    return ScalarField(g, (d2chi + d2phi) / g.sin_thetas[:, None] ** 2)
+    return ScalarField(f.grid, _laplace_beltrami_values(f.values, f.grid))
+
+
+def _jacobian_values(psi: np.ndarray, omega: np.ndarray, g: Grid) -> np.ndarray:
+    dtheta = _three_point_weights(g.thetas, 1)
+    return _dphi_values(psi, g.dphi) * _apply_row_stencil(omega, dtheta) - _apply_row_stencil(
+        psi, dtheta
+    ) * _dphi_values(omega, g.dphi)
 
 
 def jacobian(psi: ScalarField, omega: ScalarField) -> ScalarField:
@@ -166,11 +194,7 @@ def jacobian(psi: ScalarField, omega: ScalarField) -> ScalarField:
     because the longitude differences vanish exactly.
     """
     g = _require_same_grid(psi, omega)
-    dtheta = _three_point_weights(g.thetas, 1)
-    bracket = _dphi_values(psi.values, g.dphi) * _apply_row_stencil(
-        omega.values, dtheta
-    ) - _apply_row_stencil(psi.values, dtheta) * _dphi_values(omega.values, g.dphi)
-    return ScalarField(g, bracket)
+    return ScalarField(g, _jacobian_values(psi.values, omega.values, g))
 
 
 def ns_residual(psi: ScalarField, omega: ScalarField, nu: float) -> ScalarField:
@@ -182,10 +206,13 @@ def ns_residual(psi: ScalarField, omega: ScalarField, nu: float) -> ScalarField:
     if not (math.isfinite(nu) and nu >= 0.0):
         raise ValueError(f"viscosity must be finite and nonnegative, got {nu}")
     g = _require_same_grid(psi, omega)
-    adv = jacobian(psi, omega).values / g.sin_thetas[:, None]
-    if nu == 0.0:
-        return ScalarField(g, adv)
-    return ScalarField(g, adv - nu * laplace_beltrami_fd(omega).values)
+    adv = _jacobian_values(psi.values, omega.values, g)
+    adv /= g.sin_thetas[:, None]
+    if nu != 0.0:
+        lap = _laplace_beltrami_values(omega.values, g)
+        lap *= nu
+        adv -= lap
+    return ScalarField(g, adv)
 
 
 def mercator_laplacian(values: np.ndarray, chi_step: float, phi_step: float) -> np.ndarray:
@@ -194,11 +221,11 @@ def mercator_laplacian(values: np.ndarray, chi_step: float, phi_step: float) -> 
     Relates to :func:`laplace_beltrami_fd` through the conformal factor:
     sin^2(theta) * lap(f) equals this operator with sin(theta) = sech(chi).
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = np.ascontiguousarray(values, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 3:
         raise ValueError("need a 2-D sample array with at least 3 chi rows")
-    out = np.empty_like(v)
-    out[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+    out = np.empty(v.shape)
+    _second_difference(v[:-2], v[1:-1], v[2:], out[1:-1])
     out[0], out[-1] = out[1], out[-2]  # the end rows equal their neighbours'
     out /= chi_step**2
     out += _d2phi_values(v, phi_step)

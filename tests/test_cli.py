@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphereflow import spharm, verify
+from sphereflow import operators, spharm, verify
 from sphereflow.cli import main
 from sphereflow.grid import read_scalar_field
 
@@ -24,6 +24,13 @@ CHECKS_PINS = {
     "checks_uniform_64x32": ["--grid", "uniform", "--nlat", "64", "--nlon", "32"],
     "checks_phi_exp": ["--phi-model", "exp"],
     "checks_band_0.2_2.9": ["--band-lo", "0.2", "--band-hi", "2.9"],
+}
+
+# residual.csv written by ``residual`` with these arguments; the residual keeps its bytes
+RESIDUAL_PINS = {
+    "residual_gauss_64x16_nu1": ["--nlat", "64", "--nlon", "16", "--nu", "1"],
+    "residual_uniform_33x5": ["--grid", "uniform", "--nlat", "33", "--nlon", "5", "--k1", "-2",
+                              "--nu", "0.5"],
 }
 
 # omega, psi and uphi written by ``fields --nlat 16 --nlon 8`` with these arguments;
@@ -129,6 +136,12 @@ def test_fields_csv_is_pinned(tmp_path, name):
     assert main(args) == 0
     for field in ("omega", "psi", "uphi"):
         assert (tmp_path / f"{field}.csv").read_bytes() == (DATA / f"{name}_{field}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_PINS))
+def test_residual_csv_is_pinned(tmp_path, name):
+    assert main(["residual", *RESIDUAL_PINS[name], "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "residual.csv").read_bytes() == (DATA / f"{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("k1", K1_SWEEP + [s * k for k in verify.K1_RANGE for s in (1.0, -1.0)])
@@ -470,6 +483,26 @@ def test_residual_band_without_rows_exits_two_before_writing(tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert "band contains no grid rows" in capsys.readouterr().err
     assert not (tmp_path / "residual.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "lo,hi,message",
+    [("1.0", "1.01", "error: band contains no grid rows\n"),
+     ("nan", "2", "error: band [nan, 2] needs lo < hi, with neither NaN\n")],
+    ids=["empty", "nan"],
+)
+def test_residual_refuses_a_bad_band_before_computing_the_residual(
+    tmp_path, capsys, monkeypatch, lo, hi, message
+):
+    # the band used to be checked only by band_max, after ns_residual had run
+    def refuse(*args):
+        raise AssertionError("computed the residual of a refused band")
+
+    monkeypatch.setattr(operators, "ns_residual", refuse)
+    argv = ["residual", "--nlat", "8", "--nlon", "8", "--band-lo", lo, "--band-hi", hi]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("lo,hi", [("0.1", "0.3"), ("2.9", "3.0")], ids=["north", "south"])

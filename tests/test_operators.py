@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,14 +294,61 @@ def test_longitude_stencils_match_roll_bit_for_bit(kind, nlon):
         w, g.dphi
     )
     assert np.array_equal(jacobian(psi, omega).values, bracket)
-    h = 0.01
-    merc = np.empty_like(p)
-    merc[1:-1] = p[:-2] - 2.0 * p[1:-1] + p[2:]
-    merc[0] = p[0] - 2.0 * p[1] + p[2]
-    merc[-1] = p[-3] - 2.0 * p[-2] + p[-1]
+    s = g.sin_thetas[:, None]
+    assert np.array_equal(ns_residual(psi, omega, 0.0).values, bracket / s)
+    d2chi = operators._apply_row_stencil(w, operators._three_point_weights(g.chis, 2))
+    lap = (d2chi + _roll_d2phi(w, g.dphi)) / s**2
+    assert np.array_equal(ns_residual(psi, omega, 0.37).values, bracket / s - 0.37 * lap)
+    merc = _roll_mercator(p, 0.01, g.dphi)
+    wide = np.zeros((g.nlat, 2 * nlon))
+    wide[:, ::2] = p
+    # a flat pass over an array that is not C-contiguous must not read or
+    # write a reshaped copy
+    for layout in (p, np.asfortranarray(p), np.ascontiguousarray(p.T).T, wide[:, ::2]):
+        assert np.array_equal(mercator_laplacian(layout, 0.01, g.dphi), merc)
+
+
+def _roll_mercator(v, h, dphi):
+    merc = np.empty_like(v)
+    merc[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+    merc[0] = v[0] - 2.0 * v[1] + v[2]
+    merc[-1] = v[-3] - 2.0 * v[-2] + v[-1]
     merc /= h**2
-    merc += _roll_d2phi(p, g.dphi)
-    assert np.array_equal(mercator_laplacian(p, h, g.dphi), merc)
+    merc += _roll_d2phi(v, dphi)
+    return merc
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_longitude_stencils_match_roll_on_one_to_three_columns(width):
+    # the flat pass covers no interior column here: each column is a wrap
+    # column, and at widths 1 and 2 both of its neighbours are one column
+    v = np.random.default_rng(width).standard_normal((9, width))
+    assert np.array_equal(operators._dphi_values(v, 0.7), _roll_dphi(v, 0.7))
+    assert np.array_equal(operators._d2phi_values(v, 0.7), _roll_d2phi(v, 0.7))
+    assert np.array_equal(mercator_laplacian(v, 0.1, 0.7), _roll_mercator(v, 0.1, 0.7))
+
+
+def _peak_in_fields(call):
+    """tracemalloc peak of one warm call, in units of one 256 x 128 float64 field."""
+    call()  # the grid's cached colatitude arrays are built here
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (256 * 128 * 8)
+
+
+def test_fd_operators_stay_within_their_allocation_budget():
+    # each full-field temporary costs fresh pages; forming every term in a new
+    # array and gathering the band through a mask read 4.26, 5.27 and 1.50
+    g = build_grid(GridSpec(nlat=256, nlon=128, kind="gauss-legendre"))
+    rng = np.random.default_rng(11)
+    psi, omega = (ScalarField(g, rng.standard_normal((256, 128))) for _ in range(2))
+    assert _peak_in_fields(lambda: laplace_beltrami_fd(omega)) <= 2.5
+    assert _peak_in_fields(lambda: ns_residual(psi, omega, 1.0)) <= 3.5
+    assert _peak_in_fields(lambda: band_max(psi)) < 1.0
 
 
 # Oracle: the colatitude weights as separate interior and end-row formulas,
